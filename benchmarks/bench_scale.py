@@ -28,11 +28,19 @@ as measured wall clock and as the modeled critical path
 with at least ``shards`` cores would realise, which a core-starved CI runner
 cannot (``cores_available`` records what this host had).
 
+The ``initial_state_build`` section times the Section-5 initial-state build
+(deploy, thin to ``N + m*n`` enabled nodes, elect heads) on a 16x16 grid
+with 5,000 nodes and on 128x128, batched ``disable_nodes`` thinning against
+the per-victim ``disable_node`` reference of ``reference_build.py``, both
+measured in the same run.
+
 The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
 batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
-the 256x256 tier, sharded/sequential byte-identity (unconditional), and the
-4-way modeled-speedup floor (enforced only on hosts with >= 4 cores) — and
+the 256x256 tier, the batched build at >= 3x the per-victim reference with
+identical ``to_bytes()``, sharded/sequential byte-identity (unconditional),
+and the 4-way modeled-speedup floor (enforced only on hosts with >= 4
+cores) — and
 exits non-zero when any guard trips, so an accidental O(m*n) scan, a
 de-vectorized hot loop, or a shard-protocol divergence fails CI long before
 it would be felt on the 512x512 workload.
@@ -59,13 +67,15 @@ from repro.experiments.registry import make_controller
 from repro.network.adjacency import adjacency_lists, adjacency_offsets, build_edges
 from repro.network.channel import DEFAULT_CHANNEL
 from repro.network.deployment import deploy_per_cell
-from repro.network.node_arrays import ENABLED_CODE
 from repro.network.radio import UnitDiskRadio
 from repro.network.state import WsnState
 from repro.sim.engine import RoundBasedEngine
 from repro.sim.rng import derive_rng
+from repro.sim.scenario import ScenarioConfig, build_scenario_state
 from repro.sim.sharded import ShardedEngine
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
+
+from reference_build import per_victim_thinning
 
 #: (columns, rows) of the benchmarked grids; 3 nodes per cell everywhere, so
 #: the largest default grid deploys 256 * 256 * 3 = 196608 sensors.
@@ -120,6 +130,14 @@ SHARD_HOLES_PER_ROUND = 512
 #: hosts with >= 4 cores — below that the per-phase timings that feed the
 #: model share one oversubscribed core and the floor would guard noise.
 SHARD_SPEEDUP_LIMIT_4WAY = 2.0
+#: Initial-state build tiers, as (columns, rows, deployed, spare surplus N):
+#: the paper's Section-5 workload, and a 128x128 grid at 3 nodes per cell
+#: with the same share of spares per cell (N = 55 * 64).
+BUILD_TIERS = ((16, 16, 5000, 55), (128, 128, 128 * 128 * 3, 55 * 64))
+#: Guard on the batched node disabling: floor on how much faster the
+#: batched build is than the per-victim reference (one ``disable_node``
+#: call per thinned node), timed as adjacent pairs in the same run.
+BUILD_SPEEDUP_LIMIT = 3.0
 
 
 def build_base_state(columns: int, rows: int, seed: int) -> WsnState:
@@ -144,9 +162,9 @@ def bench_deploy(columns: int, rows: int, seed: int) -> dict:
 def punch_holes(state: WsnState, hole_count: int, rng: random.Random) -> None:
     """Disable every node of ``hole_count`` randomly chosen cells."""
     cells = rng.sample(list(state.grid.all_coords()), hole_count)
-    for coord in cells:
-        for node in list(state.members_of(coord)):
-            state.disable_node(node.node_id)
+    state.disable_nodes(
+        [node.node_id for coord in cells for node in state.members_of(coord)]
+    )
 
 
 class ScheduledCellKill:
@@ -163,28 +181,10 @@ class ScheduledCellKill:
 
     def __init__(self, node_ids):
         self.node_ids = list(node_ids)
-        self._id_array = np.asarray(self.node_ids, dtype=np.int64)
 
     def apply(self, state, rng):
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            # One vectorized pass: keeps the ids that are still enabled in
-            # this state (masked/disabled rows have a different state code).
-            rows = arrays.rows_of(self._id_array)
-            victims = self._id_array[
-                arrays.state[rows] == ENABLED_CODE
-            ].tolist()
-        else:
-            masked = getattr(state, "is_masked", None)
-            victims = [
-                node_id
-                for node_id in self.node_ids
-                if not (masked is not None and masked(node_id))
-                and state.node(node_id).is_enabled
-            ]
-        for node_id in victims:
-            state.disable_node(node_id)
-        return victims
+        # ``disable_nodes`` skips ids that are masked or already disabled.
+        return state.disable_nodes(self.node_ids)
 
 
 def build_failure_schedule(
@@ -523,6 +523,88 @@ def bench_shard_speedup(seed: int, repeats: int, counts=SHARD_COUNTS) -> dict:
     }
 
 
+def bench_initial_state_build(seed: int, repeats: int) -> dict:
+    """Batched vs per-victim initial-state build on every :data:`BUILD_TIERS` tier.
+
+    Each repeat builds the tier's scenario twice back to back — with the
+    batched ``disable_nodes`` thinning, then with the per-victim reference —
+    and compares the two states' ``to_bytes()`` snapshots.  The pairs run
+    with GC disabled.  The guarded ``speedup`` is the fastest reference
+    build over the fastest batched build: load from other processes
+    inflates the deploy and index work both builds share, which compresses
+    the ratio, and each side's minimum is its least disturbed sample.  The
+    per-side medians are reported alongside.
+    """
+    tiers = []
+    for columns, rows, deployed, spares in BUILD_TIERS:
+        config = ScenarioConfig(
+            columns=columns,
+            rows=rows,
+            deployed_count=deployed,
+            spare_surplus=spares,
+            seed=seed,
+        )
+        batched_seconds, reference_seconds = [], []
+        identical = True
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(repeats):
+                gc.collect()
+                start = time.perf_counter()
+                batched = build_scenario_state(config)
+                batched_seconds.append(time.perf_counter() - start)
+                with per_victim_thinning():
+                    start = time.perf_counter()
+                    reference = build_scenario_state(config)
+                    reference_seconds.append(time.perf_counter() - start)
+                identical = identical and batched.to_bytes() == reference.to_bytes()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        entry = {
+            "grid": f"{columns}x{rows}",
+            "deployed_nodes": deployed,
+            "enabled_after_thinning": batched.enabled_count,
+            "repeats": len(batched_seconds),
+            "batched_seconds_min": round(min(batched_seconds), 6),
+            "reference_seconds_min": round(min(reference_seconds), 6),
+            "batched_seconds_median": round(statistics.median(batched_seconds), 6),
+            "reference_seconds_median": round(statistics.median(reference_seconds), 6),
+            "speedup": round(min(reference_seconds) / min(batched_seconds), 2),
+            "identical": identical,
+        }
+        tiers.append(entry)
+        print(
+            f"initial-state build {entry['grid']:>7} ({deployed} nodes): batched "
+            f"{entry['batched_seconds_min'] * 1e3:7.2f} ms vs per-victim "
+            f"{entry['reference_seconds_min'] * 1e3:7.2f} ms (fastest of "
+            f"{repeats}) -> {entry['speedup']:.2f}x, identical {identical}"
+        )
+    return {
+        "cores_available": os.cpu_count(),
+        "limit": BUILD_SPEEDUP_LIMIT,
+        "tiers": tiers,
+    }
+
+
+def build_failures(build: dict) -> list:
+    """Guard messages for an :func:`bench_initial_state_build` report."""
+    failures = []
+    for tier in build["tiers"]:
+        if not tier["identical"]:
+            failures.append(
+                f"the batched {tier['grid']} build differs from the per-victim "
+                "reference — disable_nodes is no longer exact"
+            )
+        if tier["speedup"] < BUILD_SPEEDUP_LIMIT:
+            failures.append(
+                f"the batched {tier['grid']} build is only {tier['speedup']:.2f}x "
+                f"faster than the per-victim reference (floor {BUILD_SPEEDUP_LIMIT}x)"
+            )
+    return failures
+
+
 def run_grid(columns: int, rows: int, holes: int, seed: int, repeats: int) -> dict:
     base = build_base_state(columns, rows, seed)
     rounds = bench_recovery_rounds(base, holes, seed, repeats)
@@ -609,6 +691,8 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
             f"(limit {ADJACENCY_PER_EDGE_SECONDS_LIMIT:.0e})"
         )
 
+    failures.extend(build_failures(bench_initial_state_build(seed, repeats)))
+
     base = build_base_state(16, 16, seed)
     channel = bench_channel_overhead(base, holes, seed, repeats)
     print(
@@ -675,9 +759,10 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
     channel = bench_channel_overhead(
         build_base_state(*GRID_SHAPES[0], seed), holes, seed, repeats
     )
+    build = bench_initial_state_build(seed, repeats)
     print("\nshard speedup (sequential wall vs modeled critical path):")
     shard = bench_shard_speedup(seed, min(repeats, 5))
-    failures = []
+    failures = build_failures(build)
     if not all(entry["identical"] for entry in shard["counts"]):
         failures.append(
             "a sharded run diverged from the sequential engine — the "
@@ -707,7 +792,10 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "channel adds no meaningful per-round cost on the default perfect "
             "model, the per-tier deploy/adjacency columns track the "
             "vectorized struct-of-arrays paths (per-edge seconds are the "
-            "throughput of the batch adjacency build), and shard_speedup "
+            "throughput of the batch adjacency build), initial_state_build "
+            "times the batched Section-5 build against the per-victim "
+            "disable_node reference (speedup >= 3x, identical to_bytes()), "
+            "and shard_speedup "
             "compares ShardedEngine against the sequential engine on the "
             "128x128 tier (byte-identity checked on every run)"
         ),
@@ -722,6 +810,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             largest["query_seconds"] / smallest["query_seconds"], 3
         ),
         "channel_overhead": channel,
+        "initial_state_build": build,
         "shard_speedup": shard,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")

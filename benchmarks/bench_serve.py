@@ -17,10 +17,11 @@ the exact code broker workers run per cold spec:
   state versus simulating from it, per scheme;
 * a **sweep-shaped cold workload** — every scheme crossed with several
   trial seeds over a handful of shared scenarios (the shape every sweep
-  and figure driver emits), executed once per spec with the initial-state
-  cache off and again with it on.  Records from the two passes must be
-  byte-identical, and the cached pass must clear
-  ``MIN_STATE_CACHE_SPEEDUP``.
+  and figure driver emits), executed once per spec in four passes: the
+  batched build with the initial-state cache off and on (the default), and
+  the per-victim reference build (:mod:`reference_build`, one
+  ``disable_node`` call per thinned node) with the cache off and on.
+  Records from all four passes must be byte-identical.
 
 Usage::
 
@@ -37,8 +38,12 @@ requests, "p99" is just the max wearing a statistics costume).  The guards
 * the herd performs exactly one simulation (in-flight dedup works);
 * warm p50 latency under a generous quarter-second ceiling (a cache hit
   must never cost simulation time);
-* the sweep-shaped cold workload runs at least 2x faster with the
-  initial-state cache on, with byte-identical records.
+* the default path (batched build + state cache) runs the sweep-shaped
+  cold workload at least ``MIN_COLD_SWEEP_SPEEDUP`` times faster than the
+  per-victim reference with the cache off, and no slower than the
+  per-victim reference with the cache on, with byte-identical records.
+  The cache's own gain over the batched build (``state_cache_speedup``) is
+  reported but not guarded.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import statistics
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 if __package__ in (None, ""):  # running as a script: make src/ importable
@@ -66,6 +72,8 @@ from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, make_server
 from repro.sim.scenario import ScenarioConfig
 
+from reference_build import per_victim_thinning
+
 #: Scenario shape of every benchmarked spec: the paper's Section-5 workload
 #: (16x16 grid, 5000 deployed sensors), so cold-pass cost is the cost a real
 #: figure query pays.
@@ -81,10 +89,12 @@ P99_MIN_SAMPLES = 100
 #: ``SWEEP_TRIALS`` controller seeds (the scenario — deployment, thinning —
 #: is shared; only the controller randomness differs).
 SWEEP_TRIALS = 4
+#: Each sweep pass runs this many times; its median wall time is reported.
+SWEEP_REPEATS = 3
 #: Guards (see module docstring).
 MIN_WARM_SPEEDUP = 10.0
 MAX_WARM_P50_SECONDS = 0.25
-MIN_STATE_CACHE_SPEEDUP = 2.0
+MIN_COLD_SWEEP_SPEEDUP = 2.0
 
 
 def spec_payload(scheme: str, seed: int) -> dict:
@@ -208,14 +218,31 @@ def cold_path_breakdown() -> dict:
     }
 
 
+def _timed_records(specs: list, per_victim: bool, cached: bool) -> tuple:
+    """Run every spec through ``execute_run``; return (records, wall seconds).
+
+    ``per_victim`` builds with the reference thinning; ``cached`` shares one
+    build per scenario through a fresh ``StateCache``, otherwise every spec
+    builds its own initial state.
+    """
+    cache = StateCache(capacity=len(specs), mode="clone") if cached else None
+    with per_victim_thinning() if per_victim else nullcontext():
+        started = time.perf_counter()
+        records = [execute_run(spec, state_cache=cache) for spec in specs]
+        wall = time.perf_counter() - started
+    return records, wall
+
+
 def sweep_cold_pass(scenarios: int) -> dict:
-    """Sweep-shaped cold throughput with the initial-state cache off vs on.
+    """Sweep-shaped cold throughput: batched vs per-victim build, cache off vs on.
 
     Per scenario the workload holds ``len(SCHEMES) * SWEEP_TRIALS`` specs
     sharing one deployment — the shape every sweep/figure driver emits.
-    Both passes run spec-by-spec through ``execute_run`` (the broker
-    worker's code path); the baseline disables state caching, the cached
-    pass shares one build per scenario through a fresh ``StateCache``.
+    Every pass runs spec-by-spec through ``execute_run`` (the broker
+    worker's code path).  The default path is the batched build with the
+    state cache on; the reference passes swap in the per-victim thinning
+    of :func:`reference_build.per_victim_thinning`.  The four passes run
+    ``SWEEP_REPEATS`` times in turn and each reports its median wall time.
     """
     specs = [
         RunSpec(
@@ -228,32 +255,39 @@ def sweep_cold_pass(scenarios: int) -> dict:
         for trial in range(SWEEP_TRIALS)
         for scheme in SCHEMES
     ]
-
-    started = time.perf_counter()
-    baseline_records = [execute_run(spec, state_cache=None) for spec in specs]
-    baseline_wall = time.perf_counter() - started
-
-    cache = StateCache(capacity=scenarios, mode="clone")
-    started = time.perf_counter()
-    cached_records = [execute_run(spec, state_cache=cache) for spec in specs]
-    cached_wall = time.perf_counter() - started
-
-    identical = all(
-        json.dumps(record_to_dict(a), sort_keys=True)
-        == json.dumps(record_to_dict(b), sort_keys=True)
-        for a, b in zip(baseline_records, cached_records)
-    )
+    passes = {
+        "reference_uncached": (True, False),
+        "reference_cached": (True, True),
+        "batched_uncached": (False, False),
+        "default": (False, True),
+    }
+    samples = {name: [] for name in passes}
+    dumps = set()
+    for _ in range(SWEEP_REPEATS):
+        for name, (per_victim, cached) in passes.items():
+            records, wall = _timed_records(specs, per_victim, cached)
+            samples[name].append(wall)
+            dumps.add(
+                tuple(json.dumps(record_to_dict(r), sort_keys=True) for r in records)
+            )
+    walls = {name: statistics.median(values) for name, values in samples.items()}
     return {
         "scenarios": scenarios,
         "specs_per_scenario": len(SCHEMES) * SWEEP_TRIALS,
         "specs": len(specs),
-        "baseline_wall_seconds": round(baseline_wall, 4),
-        "baseline_specs_per_second": round(len(specs) / baseline_wall, 2),
-        "cached_wall_seconds": round(cached_wall, 4),
-        "cached_specs_per_second": round(len(specs) / cached_wall, 2),
-        "state_cache_speedup": round(baseline_wall / cached_wall, 2),
-        "records_identical": identical,
-        "state_cache_stats": cache.stats().as_dict(),
+        "repeats": SWEEP_REPEATS,
+        "wall_seconds": {name: round(wall, 4) for name, wall in walls.items()},
+        "specs_per_second": {
+            name: round(len(specs) / wall, 2) for name, wall in walls.items()
+        },
+        "speedup_vs_reference_uncached": round(
+            walls["reference_uncached"] / walls["default"], 2
+        ),
+        "speedup_vs_reference_cached": round(
+            walls["reference_cached"] / walls["default"], 2
+        ),
+        "state_cache_speedup": round(walls["batched_uncached"] / walls["default"], 2),
+        "records_identical": len(dumps) == 1,
     }
 
 
@@ -286,11 +320,14 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             "answered from the cache) vs a concurrent herd of one novel spec "
             "(in-flight dedup), plus the off-socket cold path itself: the "
             "state-build/simulate split per cold spec and a sweep-shaped "
-            "workload run with the initial-state cache off and on "
+            "workload run with the batched and the per-victim reference "
+            "build, each with the initial-state cache off and on "
             "(byte-identical records required); p99 latency is reported only "
             "for passes with >= 100 requests, smaller passes carry p50/max "
             "only; guards: warm_vs_cold_speedup >= 10x, "
-            "cold_path.sweep.state_cache_speedup >= 2x"
+            "cold_path.sweep.speedup_vs_reference_uncached >= 2x, "
+            "cold_path.sweep.speedup_vs_reference_cached >= 1x; "
+            "state_cache_speedup is an unguarded diagnostic"
         ),
         "scenario": SCENARIO,
         "schemes": list(SCHEMES),
@@ -337,13 +374,21 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         failures.append("herd requests received differing records")
     if not sweep["records_identical"]:
         failures.append(
-            "state-cached sweep records differ from the cache-off baseline"
+            "sweep records differ between the batched, per-victim and "
+            "state-cached passes"
         )
-    if sweep["state_cache_speedup"] < MIN_STATE_CACHE_SPEEDUP:
+    if sweep["speedup_vs_reference_uncached"] < MIN_COLD_SWEEP_SPEEDUP:
         failures.append(
-            f"sweep-shaped cold workload is only "
-            f"{sweep['state_cache_speedup']:.2f}x faster with the state "
-            f"cache (guard: >= {MIN_STATE_CACHE_SPEEDUP:.0f}x)"
+            f"the default path runs the sweep-shaped cold workload only "
+            f"{sweep['speedup_vs_reference_uncached']:.2f}x faster than the "
+            f"per-victim reference without the state cache "
+            f"(guard: >= {MIN_COLD_SWEEP_SPEEDUP:.0f}x)"
+        )
+    if sweep["speedup_vs_reference_cached"] < 1.0:
+        failures.append(
+            f"the default path runs the sweep-shaped cold workload at "
+            f"{sweep['speedup_vs_reference_cached']:.2f}x the per-victim "
+            "reference with the state cache (guard: no slower)"
         )
     return report, failures
 
@@ -385,9 +430,10 @@ def main(argv=None) -> int:
         f"({report['warm_vs_cold_speedup']}x), herd of "
         f"{report['herd']['concurrent_requests']} -> "
         f"{report['herd']['simulations_performed']} simulation, "
-        f"state-cached sweep {sweep['state_cache_speedup']}x "
-        f"({sweep['baseline_specs_per_second']} -> "
-        f"{sweep['cached_specs_per_second']} specs/s, identical records)"
+        f"cold sweep {sweep['speedup_vs_reference_uncached']}x / "
+        f"{sweep['speedup_vs_reference_cached']}x the per-victim reference "
+        f"without / with the state cache "
+        f"({sweep['specs_per_second']['default']} specs/s, identical records)"
     )
     if not args.smoke:
         args.output.write_text(json.dumps(report, indent=2) + "\n")

@@ -4,7 +4,10 @@ Holes appear in the surveillance area when sensors fail, run out of battery,
 or are disabled because they misbehave (Section 1 of the paper; jamming
 attacks in particular can depopulate whole regions).  Failure models operate
 on a :class:`repro.network.state.WsnState` and return the ids of the nodes
-they disabled, so the caller can log them or re-run head election.
+they disabled, so the caller can log them.  Every model selects its victims
+first and then disables them in one
+:meth:`~repro.network.state.WsnState.disable_nodes` batch, which repairs
+each affected cell's head once.
 
 The module has two layers:
 
@@ -31,14 +34,6 @@ import numpy as np
 from repro.grid.geometry import BoundingBox, Point
 from repro.grid.virtual_grid import GridCoord
 from repro.network.node import NodeState
-
-
-def _enabled_ids(state) -> List[int]:
-    """Enabled node ids in deployment order, without materialising handles."""
-    fast = getattr(state, "enabled_node_ids", None)
-    if fast is not None:
-        return fast()
-    return [node.node_id for node in state.enabled_nodes()]
 
 
 class FailureModel(abc.ABC):
@@ -81,14 +76,13 @@ class RandomFailure(FailureModel):
 
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable the sampled victims and return their ids."""
-        enabled_ids = _enabled_ids(state)
+        enabled_ids = state.enabled_node_ids()
         if self.probability is not None:
             victims = [node_id for node_id in enabled_ids if rng.random() < self.probability]
         else:
             count = min(self.count or 0, len(enabled_ids))
             victims = rng.sample(enabled_ids, count)
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 
@@ -110,13 +104,12 @@ class ThinningToEnabledCount(FailureModel):
 
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable random nodes until only ``target_enabled`` remain enabled."""
-        enabled_ids = _enabled_ids(state)
+        enabled_ids = state.enabled_node_ids()
         excess = len(enabled_ids) - self.target_enabled
         if excess <= 0:
             return []
         victims = rng.sample(enabled_ids, excess)
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 
@@ -152,51 +145,37 @@ class RegionJammingFailure(FailureModel):
         if self.radius is not None and self.radius < 0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
-    def _is_inside(self, position: Point) -> bool:
-        if self.box is not None:
-            return self.box.contains(position)
-        assert self.center is not None and self.radius is not None
-        return position.distance_to(self.center) <= self.radius
-
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable every enabled node whose position lies inside the region."""
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            mask = arrays.enabled_mask()
-            xs = arrays.positions[mask, 0]
-            ys = arrays.positions[mask, 1]
-            ids = arrays.node_ids[mask]
-            if self.box is not None:
-                inside = (
-                    (self.box.min_x <= xs)
-                    & (xs <= self.box.max_x)
-                    & (self.box.min_y <= ys)
-                    & (ys <= self.box.max_y)
-                )
-                victims = ids[inside].tolist()
-            else:
-                assert self.center is not None and self.radius is not None
-                dx = xs - self.center.x
-                dy = ys - self.center.y
-                # Bounding-square prefilter, then the exact math.hypot test the
-                # scalar Point.distance_to path uses, so the boundary cases
-                # resolve bit-identically to the object path.
-                near = (np.abs(dx) <= self.radius) & (np.abs(dy) <= self.radius)
-                victims = [
-                    int(node_id)
-                    for node_id, ddx, ddy in zip(
-                        ids[near].tolist(), dx[near].tolist(), dy[near].tolist()
-                    )
-                    if math.hypot(ddx, ddy) <= self.radius
-                ]
+        arrays = state.arrays
+        mask = arrays.enabled_mask()
+        xs = arrays.positions[mask, 0]
+        ys = arrays.positions[mask, 1]
+        ids = arrays.node_ids[mask]
+        if self.box is not None:
+            inside = (
+                (self.box.min_x <= xs)
+                & (xs <= self.box.max_x)
+                & (self.box.min_y <= ys)
+                & (ys <= self.box.max_y)
+            )
+            victims = ids[inside].tolist()
         else:
+            assert self.center is not None and self.radius is not None
+            dx = xs - self.center.x
+            dy = ys - self.center.y
+            # Bounding-square prefilter, then the exact math.hypot test of
+            # Point.distance_to, so boundary cases resolve exactly as the
+            # scalar geometry does.
+            near = (np.abs(dx) <= self.radius) & (np.abs(dy) <= self.radius)
             victims = [
-                node.node_id
-                for node in state.enabled_nodes()
-                if self._is_inside(node.position)
+                int(node_id)
+                for node_id, ddx, ddy in zip(
+                    ids[near].tolist(), dx[near].tolist(), dy[near].tolist()
+                )
+                if math.hypot(ddx, ddy) <= self.radius
             ]
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 
@@ -218,24 +197,16 @@ class TargetedCellFailure(FailureModel):
         target_cells = set(self.cells)
         for coord in target_cells:
             state.grid.validate_coord(coord)
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            # The state maintains each node's flat cell index, so the victim
-            # scan is a single membership test over the enabled rows.
-            flats = np.array(
-                sorted(state.grid.flat_index(coord) for coord in target_cells),
-                dtype=arrays.cell.dtype,
-            )
-            mask = arrays.enabled_mask() & np.isin(arrays.cell, flats)
-            victims = arrays.node_ids[mask].tolist()
-        else:
-            victims = [
-                node.node_id
-                for node in state.enabled_nodes()
-                if state.grid.cell_of(node.position) in target_cells
-            ]
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        # The state maintains each node's flat cell index, so the victim scan
+        # is a single membership test over the enabled rows.
+        arrays = state.arrays
+        flats = np.array(
+            sorted(state.grid.flat_index(coord) for coord in target_cells),
+            dtype=arrays.cell.dtype,
+        )
+        mask = arrays.enabled_mask() & np.isin(arrays.cell, flats)
+        victims = arrays.node_ids[mask].tolist()
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 
@@ -255,18 +226,10 @@ class BatteryDepletionFailure(FailureModel):
 
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable every enabled node at or below the energy threshold."""
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            mask = arrays.enabled_mask() & (arrays.energy <= self.threshold)
-            victims = arrays.node_ids[mask].tolist()
-        else:
-            victims = [
-                node.node_id
-                for node in state.enabled_nodes()
-                if node.energy <= self.threshold
-            ]
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        arrays = state.arrays
+        mask = arrays.enabled_mask() & (arrays.energy <= self.threshold)
+        victims = arrays.node_ids[mask].tolist()
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 

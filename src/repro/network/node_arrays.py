@@ -216,9 +216,14 @@ class NodeArrays:
         return self._row_by_id[node_id]
 
     def rows_of(self, node_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`row_of` for known-good ids (no validation)."""
+        """Vectorized :meth:`row_of` (:class:`KeyError` on the first unknown id)."""
         if self._id_base is not None:
-            return np.asarray(node_ids, dtype=np.int64) - self._id_base
+            rows = np.asarray(node_ids, dtype=np.int64) - self._id_base
+            # Viewed unsigned, a negative row is huge: one test checks both bounds.
+            unknown = rows.view(np.uint64) >= len(self.node_ids)
+            if np.count_nonzero(unknown):
+                raise KeyError(int(rows[unknown][0]) + self._id_base)
+            return rows
         return np.fromiter(
             (self.row_of(int(node_id)) for node_id in node_ids),
             dtype=np.int64,

@@ -20,8 +20,9 @@ seed-identity test).
 
 The per-round queries every controller depends on — holes, spares,
 occupancy — are served from *incremental indices* maintained by the three
-mutation paths (:meth:`WsnState.disable_node`, :meth:`WsnState.enable_node`,
-:meth:`WsnState.move_node`):
+mutation paths (:meth:`WsnState.disable_nodes`, :meth:`WsnState.enable_node`,
+:meth:`WsnState.move_node`; :meth:`WsnState.disable_node` is the one-element
+form of the first):
 
 * ``_cell_members`` — per-cell **sorted** lists of enabled node ids, so
   :meth:`members_of` iterates deterministically without re-sorting;
@@ -58,11 +59,12 @@ from repro.grid.head_election import HeadElectionPolicy, elect_head, lowest_id_p
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.adjacency import NeighborIndex
 from repro.network.mobility import MovementModel, MoveRecord
-from repro.network.node import NodeRole, NodeState, SensorNode
+from repro.network.node import STATE_CODES, NodeRole, NodeState, SensorNode
 from repro.network.node_arrays import (
     ENABLED_CODE,
     HEAD_CODE,
     SPARE_CODE,
+    UNASSIGNED_CODE,
     NodeArrays,
 )
 
@@ -382,18 +384,60 @@ class WsnState:
     # ---------------------------------------------------------------- changes
     def disable_node(self, node_id: int, reason: NodeState = NodeState.FAILED) -> None:
         """Disable a node and repair the head assignment of its cell."""
-        node = self.node(node_id)
-        if not node.is_enabled:
-            return
-        row = self.arrays.row_of(node_id)
-        coord = self.grid.coord_at(int(self.arrays.cell[row]))
-        node.disable(reason)
-        self._index_remove(coord, node_id)
-        if self._heads[coord] == node_id:
-            self._heads[coord] = None
-            self._elect_cell_head(coord)
+        self.disable_nodes((node_id,), reason)
+
+    def disable_nodes(
+        self, node_ids: Iterable[int], reason: NodeState = NodeState.FAILED
+    ) -> List[int]:
+        """Disable a batch of nodes and repair the head assignment of their cells.
+
+        Equivalent, bit for bit, to disabling the ids one at a time with an
+        immediate re-election whenever a head dies: ids that are already
+        disabled (or masked), and repeats, are skipped.  Every head policy in
+        :data:`~repro.sim.scenario.HEAD_POLICIES` is a stateless argbest,
+        so a head that survives the batch was the best over a superset of the
+        final members and stays the best; each cell that lost its head is
+        therefore re-elected once, over its final members, instead of once per
+        victim.  Costs O(victims + members of orphaned cells), never O(nodes).
+        Returns the ids actually disabled, in first-occurrence order.
+        """
+        if reason is NodeState.ENABLED:
+            raise ValueError("disable_nodes() requires a non-enabled reason state")
+        arrays = self.arrays
+        requested = np.fromiter(dict.fromkeys(node_ids), dtype=np.int64)
+        rows = arrays.rows_of(requested)
+        live = arrays.state[rows] == ENABLED_CODE
+        rows = rows[live]
+        victim_ids = requested[live]
+        victims = victim_ids.tolist()
+        arrays.state[rows] = STATE_CODES[reason]
+        arrays.role[rows] = UNASSIGNED_CODE
+        cells = arrays.cell[rows]
+        if len(cells) > 1:
+            # Visiting the victims cell by cell keeps consecutive index
+            # updates on one member list and its counters, which halves the
+            # loop on large grids; the indices left behind do not depend on
+            # the order.
+            by_cell = np.argsort(cells, kind="stable")
+            victim_ids, cells = victim_ids[by_cell], cells[by_cell]
+        coords = self.grid.coord_list()
+        heads = self._heads
+        orphaned: Dict[GridCoord, None] = {}
+        for node_id, flat in zip(victim_ids.tolist(), cells.tolist()):
+            coord = coords[flat]
+            self._index_remove(coord, node_id)
+            if heads[coord] == node_id:
+                heads[coord] = None
+                orphaned[coord] = None
         if self._neighbor_index is not None:
-            self._neighbor_index.on_disable(row)
+            for row in rows.tolist():
+                self._neighbor_index.on_disable(row)
+        if orphaned and self._head_policy is lowest_id_policy:
+            self._elect_heads_lowest_id(orphaned)
+        else:
+            for coord in orphaned:
+                self._elect_cell_head(coord)
+        return victims
 
     def enable_node(self, node_id: int) -> None:
         """Re-admit a previously disabled node (extension; not used by the paper)."""
@@ -473,26 +517,26 @@ class WsnState:
             head.role = NodeRole.HEAD
         return head
 
-    def _elect_all_heads_lowest_id(self) -> None:
-        """Vectorized fresh election under the default lowest-id policy.
+    def _elect_heads_lowest_id(self, cells: Iterable[GridCoord]) -> None:
+        """Make the smallest member id of each occupied cell in ``cells`` its head.
 
-        Equivalent to running :meth:`_elect_cell_head` over every cell with
-        empty ``_heads``: every member becomes a spare, the smallest member id
-        of each occupied cell becomes head, and disabled nodes keep their
-        roles (they are never members).
+        The other members must already hold the spare role — true after
+        any mutation path, each of which leaves every non-head member of
+        the cells it touches a spare — so only the new heads' roles are
+        written, and re-electing the cells a batch of failures orphaned
+        costs O(those cells), not O(nodes).
         """
-        arrays = self.arrays
-        arrays.role[arrays.enabled_mask()] = SPARE_CODE
         heads = self._heads
+        cell_members = self._cell_members
         head_ids: List[int] = []
-        for coord, members in self._cell_members.items():
+        for coord in cells:
+            members = cell_members[coord]
             if members:
-                head_id = members[0]
-                heads[coord] = head_id
-                head_ids.append(head_id)
+                heads[coord] = members[0]
+                head_ids.append(members[0])
         if head_ids:
-            rows = arrays.rows_of(np.asarray(head_ids, dtype=np.int64))
-            arrays.role[rows] = HEAD_CODE
+            rows = self.arrays.rows_of(np.asarray(head_ids, dtype=np.int64))
+            self.arrays.role[rows] = HEAD_CODE
 
     def elect_all_heads(self) -> None:
         """(Re-)elect the head of every cell from scratch-consistent membership."""
@@ -500,7 +544,11 @@ class WsnState:
             self.grid.coord_list()
         )
         if self._head_policy is lowest_id_policy:
-            self._elect_all_heads_lowest_id()
+            # Vectorized equivalent of _elect_cell_head on every cell: all
+            # members become spares, then each cell's smallest id becomes
+            # head; disabled nodes keep their roles (they are never members).
+            self.arrays.role[self.arrays.enabled_mask()] = SPARE_CODE
+            self._elect_heads_lowest_id(self._cell_members)
         else:
             for coord in self.grid.all_coords():
                 self._elect_cell_head(coord)
@@ -869,7 +917,8 @@ class WsnState:
         index (membership lists, occupancy counters, vacant set, spare and
         enabled totals, the per-node cell column, and any attached neighbour
         index) is compared against a from-scratch rebuild derived from the
-        node arrays, and the head invariants of Section 2 are checked on top.
+        node arrays, and the head invariants of Section 2 are checked on top,
+        including that the role column agrees with the head assignment.
         """
         arrays = self.arrays
         rebuilt: Dict[GridCoord, List[int]] = {
@@ -880,6 +929,7 @@ class WsnState:
         xs = arrays.positions[:, 0].tolist()
         ys = arrays.positions[:, 1].tolist()
         states = arrays.state.tolist()
+        roles = arrays.role.tolist()
         cells = arrays.cell.tolist()
         for row, node_id in enumerate(node_ids):
             coord = self.grid.cell_of(Point(xs[row], ys[row]))
@@ -890,6 +940,11 @@ class WsnState:
             if states[row] == ENABLED_CODE:
                 rebuilt[coord].append(node_id)
                 enabled_total += 1
+                expected_role = HEAD_CODE if self._heads[coord] == node_id else SPARE_CODE
+                assert roles[row] == expected_role, (
+                    f"enabled node {node_id} of cell {coord.as_tuple()} has role "
+                    f"code {roles[row]}, its head assignment says {expected_role}"
+                )
         assert self._enabled_total == enabled_total, (
             f"enabled total {self._enabled_total} != rebuilt {enabled_total}"
         )

@@ -115,8 +115,9 @@ def spec_from_request(payload: object) -> RunSpec:
     The body is the ``spec_to_dict`` form with every field beyond
     ``scenario`` and ``scheme`` optional; ``seed`` defaults to the scenario
     seed, and ``channel`` additionally accepts the CLI's compact string form
-    (``"lossy:0.2"``).  Raises ``ValueError`` on anything malformed — the
-    handler maps that to HTTP 400.
+    (``"lossy:0.2"``).  Raises ``ValueError`` on anything malformed,
+    including a scheme that is not registered — the handler maps that to
+    HTTP 400 before any state is built.
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
@@ -127,6 +128,11 @@ def spec_from_request(payload: object) -> RunSpec:
             raise ValueError(f"request body is missing the {field!r} field")
     if not isinstance(body["scenario"], dict):
         raise ValueError("'scenario' must be a JSON object of ScenarioConfig fields")
+    schemes = available_schemes()
+    if body["scheme"] not in schemes:
+        raise ValueError(
+            f"unknown scheme {body['scheme']!r}; available: {list(schemes)}"
+        )
     channel = body.get("channel")
     if isinstance(channel, str):
         body["channel"] = channel_to_dict(parse_channel_spec(channel))

@@ -84,6 +84,8 @@ def test_spec_from_request_accepts_channel_strings():
         {"scenario": {"seed": 1}},
         {"scenario": "not-a-dict", "scheme": "SR"},
         {"scenario": {"bogus_field": 1}, "scheme": "SR"},
+        {"scenario": {"seed": 1}, "scheme": "NOPE"},
+        {"scenario": {"seed": 1}, "scheme": ["SR"]},
     ],
 )
 def test_spec_from_request_rejects_malformed_bodies(body):
@@ -157,6 +159,17 @@ def test_malformed_spec_maps_to_400():
         with pytest.raises(ServeError) as excinfo:
             client.run({"scheme": "SR"})
         assert excinfo.value.status == 400
+
+
+def test_unknown_scheme_maps_to_400_before_any_run():
+    with running_server() as (server, client):
+        for run in (client.run, lambda body: list(client.run_stream(body))):
+            with pytest.raises(ServeError) as excinfo:
+                run(spec_payload(scheme="NOPE"))
+            assert excinfo.value.status == 400
+            assert "unknown scheme" in str(excinfo.value)
+        stats = server.broker.stats()
+        assert stats.executed == 0 and stats.failed == 0
 
 
 def test_bad_priority_maps_to_400():
