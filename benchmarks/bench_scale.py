@@ -30,14 +30,17 @@ cannot (``cores_available`` records what this host had).
 
 The ``initial_state_build`` section times the Section-5 initial-state build
 (deploy, thin to ``N + m*n`` enabled nodes, elect heads) on a 16x16 grid
-with 5,000 nodes and on 128x128, batched ``disable_nodes`` thinning against
-the per-victim ``disable_node`` reference of ``reference_build.py``, both
-measured in the same run.
+with 5,000 nodes and on 128x128: the survivors-only build against the
+historical algorithm of ``reference_build.py`` (index the whole deployment,
+then one ``disable_node`` call per victim), both measured in the same run.
+The ``per_scheme_cost`` section (full run only, unguarded) reports
+milliseconds per spec of AR, SR, SMART and VF on the paper's 16x16 workload
+at ``N = 55`` and 60 rounds.
 
 The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
 batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
-the 256x256 tier, the batched build at >= 3x the per-victim reference with
+the 256x256 tier, the build at >= 3x the per-victim reference with
 identical ``to_bytes()``, sharded/sequential byte-identity (unconditional),
 and the 4-way modeled-speedup floor (enforced only on hosts with >= 4
 cores) — and
@@ -63,6 +66,7 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
 
 import numpy as np
 
+from repro.experiments.orchestration import RunSpec, simulate_from
 from repro.experiments.registry import make_controller
 from repro.network.adjacency import adjacency_lists, adjacency_offsets, build_edges
 from repro.network.channel import DEFAULT_CHANNEL
@@ -75,7 +79,7 @@ from repro.sim.scenario import ScenarioConfig, build_scenario_state
 from repro.sim.sharded import ShardedEngine
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
 
-from reference_build import per_victim_thinning
+from reference_build import reference_state
 
 #: (columns, rows) of the benchmarked grids; 3 nodes per cell everywhere, so
 #: the largest default grid deploys 256 * 256 * 3 = 196608 sensors.
@@ -134,9 +138,18 @@ SHARD_SPEEDUP_LIMIT_4WAY = 2.0
 #: the paper's Section-5 workload, and a 128x128 grid at 3 nodes per cell
 #: with the same share of spares per cell (N = 55 * 64).
 BUILD_TIERS = ((16, 16, 5000, 55), (128, 128, 128 * 128 * 3, 55 * 64))
-#: Guard on the batched node disabling: floor on how much faster the
-#: batched build is than the per-victim reference (one ``disable_node``
-#: call per thinned node), timed as adjacent pairs in the same run.
+#: Per-scheme cost section: the paper's 16x16 workload (5,000 deployed
+#: nodes, N = 55 spares) run for 60 rounds by each scheme, over this many
+#: scenario seeds.  Unguarded: it is the baseline the scheme rewrites
+#: (virtual force first) are measured against.
+PER_SCHEME_SCHEMES = ("AR", "SR", "SMART", "VF")
+PER_SCHEME_SPARES = 55
+PER_SCHEME_ROUNDS = 60
+PER_SCHEME_SEEDS = 10
+#: Guard on the Section-5 build: floor on how much faster the survivors-only
+#: build is than the per-victim reference (index every deployed node, then
+#: one ``disable_node`` call per thinned node), timed as adjacent pairs in
+#: the same run.
 BUILD_SPEEDUP_LIMIT = 3.0
 
 
@@ -524,16 +537,16 @@ def bench_shard_speedup(seed: int, repeats: int, counts=SHARD_COUNTS) -> dict:
 
 
 def bench_initial_state_build(seed: int, repeats: int) -> dict:
-    """Batched vs per-victim initial-state build on every :data:`BUILD_TIERS` tier.
+    """Survivors-only vs per-victim initial-state build on every :data:`BUILD_TIERS` tier.
 
-    Each repeat builds the tier's scenario twice back to back — with the
-    batched ``disable_nodes`` thinning, then with the per-victim reference —
-    and compares the two states' ``to_bytes()`` snapshots.  The pairs run
-    with GC disabled.  The guarded ``speedup`` is the fastest reference
-    build over the fastest batched build: load from other processes
-    inflates the deploy and index work both builds share, which compresses
-    the ratio, and each side's minimum is its least disturbed sample.  The
-    per-side medians are reported alongside.
+    Each repeat builds the tier's scenario twice back to back — with
+    ``build_scenario_state``, then with the per-victim reference — and
+    compares the two states' ``to_bytes()`` snapshots.  The pairs run with
+    GC disabled.  The guarded ``speedup`` is the fastest reference build
+    over the fastest build: load from other processes inflates the deploy
+    and index work both builds share, which compresses the ratio, and each
+    side's minimum is its least disturbed sample.  The per-side medians are
+    reported alongside.
     """
     tiers = []
     for columns, rows, deployed, spares in BUILD_TIERS:
@@ -544,7 +557,7 @@ def bench_initial_state_build(seed: int, repeats: int) -> dict:
             spare_surplus=spares,
             seed=seed,
         )
-        batched_seconds, reference_seconds = [], []
+        build_seconds, reference_seconds = [], []
         identical = True
         gc_was_enabled = gc.isenabled()
         gc.disable()
@@ -552,32 +565,31 @@ def bench_initial_state_build(seed: int, repeats: int) -> dict:
             for _ in range(repeats):
                 gc.collect()
                 start = time.perf_counter()
-                batched = build_scenario_state(config)
-                batched_seconds.append(time.perf_counter() - start)
-                with per_victim_thinning():
-                    start = time.perf_counter()
-                    reference = build_scenario_state(config)
-                    reference_seconds.append(time.perf_counter() - start)
-                identical = identical and batched.to_bytes() == reference.to_bytes()
+                built = build_scenario_state(config)
+                build_seconds.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                reference = reference_state(config)
+                reference_seconds.append(time.perf_counter() - start)
+                identical = identical and built.to_bytes() == reference.to_bytes()
         finally:
             if gc_was_enabled:
                 gc.enable()
         entry = {
             "grid": f"{columns}x{rows}",
             "deployed_nodes": deployed,
-            "enabled_after_thinning": batched.enabled_count,
-            "repeats": len(batched_seconds),
-            "batched_seconds_min": round(min(batched_seconds), 6),
+            "enabled_after_thinning": built.enabled_count,
+            "repeats": len(build_seconds),
+            "build_seconds_min": round(min(build_seconds), 6),
             "reference_seconds_min": round(min(reference_seconds), 6),
-            "batched_seconds_median": round(statistics.median(batched_seconds), 6),
+            "build_seconds_median": round(statistics.median(build_seconds), 6),
             "reference_seconds_median": round(statistics.median(reference_seconds), 6),
-            "speedup": round(min(reference_seconds) / min(batched_seconds), 2),
+            "speedup": round(min(reference_seconds) / min(build_seconds), 2),
             "identical": identical,
         }
         tiers.append(entry)
         print(
-            f"initial-state build {entry['grid']:>7} ({deployed} nodes): batched "
-            f"{entry['batched_seconds_min'] * 1e3:7.2f} ms vs per-victim "
+            f"initial-state build {entry['grid']:>7} ({deployed} nodes): "
+            f"{entry['build_seconds_min'] * 1e3:7.2f} ms vs per-victim "
             f"{entry['reference_seconds_min'] * 1e3:7.2f} ms (fastest of "
             f"{repeats}) -> {entry['speedup']:.2f}x, identical {identical}"
         )
@@ -594,15 +606,67 @@ def build_failures(build: dict) -> list:
     for tier in build["tiers"]:
         if not tier["identical"]:
             failures.append(
-                f"the batched {tier['grid']} build differs from the per-victim "
-                "reference — disable_nodes is no longer exact"
+                f"the {tier['grid']} build differs from the per-victim reference "
+                "— the survivors-only build is no longer exact"
             )
         if tier["speedup"] < BUILD_SPEEDUP_LIMIT:
             failures.append(
-                f"the batched {tier['grid']} build is only {tier['speedup']:.2f}x "
+                f"the {tier['grid']} build is only {tier['speedup']:.2f}x "
                 f"faster than the per-victim reference (floor {BUILD_SPEEDUP_LIMIT}x)"
             )
     return failures
+
+
+def bench_per_scheme_cost(seed: int) -> dict:
+    """Milliseconds per spec of each :data:`PER_SCHEME_SCHEMES` scheme.
+
+    Every seed builds one Section-5 initial state and simulates each scheme
+    on its own clone, the schemes interleaved so host drift spreads over
+    all of them.  ``simulate_ms_median`` is the cost a spec adds on top of
+    the scheme-independent build (``build_ms_median``), which a cold spec
+    also pays.
+    """
+    build_ms = []
+    simulate_ms = {scheme: [] for scheme in PER_SCHEME_SCHEMES}
+    for index in range(PER_SCHEME_SEEDS):
+        config = ScenarioConfig(spare_surplus=PER_SCHEME_SPARES, seed=seed + index)
+        start = time.perf_counter()
+        state = build_scenario_state(config)
+        build_ms.append((time.perf_counter() - start) * 1e3)
+        for scheme in PER_SCHEME_SCHEMES:
+            spec = RunSpec(
+                scenario=config, scheme=scheme, seed=seed + index,
+                max_rounds=PER_SCHEME_ROUNDS,
+            )
+            twin = state.clone()
+            start = time.perf_counter()
+            simulate_from(twin, spec)
+            simulate_ms[scheme].append((time.perf_counter() - start) * 1e3)
+    schemes = {
+        scheme: {
+            "simulate_ms_median": round(statistics.median(samples), 3),
+            "simulate_ms_min": round(min(samples), 3),
+        }
+        for scheme, samples in simulate_ms.items()
+    }
+    print(
+        "per-scheme cost (16x16, N=55, 60 rounds): "
+        + ", ".join(
+            f"{scheme} {entry['simulate_ms_median']:.2f} ms"
+            for scheme, entry in schemes.items()
+        )
+        + f" per spec, plus {statistics.median(build_ms):.2f} ms build"
+    )
+    return {
+        "cores_available": os.cpu_count(),
+        "grid": "16x16",
+        "deployed_nodes": ScenarioConfig().deployed_count,
+        "spare_surplus": PER_SCHEME_SPARES,
+        "max_rounds": PER_SCHEME_ROUNDS,
+        "seeds": PER_SCHEME_SEEDS,
+        "build_ms_median": round(statistics.median(build_ms), 3),
+        "schemes": schemes,
+    }
 
 
 def run_grid(columns: int, rows: int, holes: int, seed: int, repeats: int) -> dict:
@@ -760,6 +824,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
         build_base_state(*GRID_SHAPES[0], seed), holes, seed, repeats
     )
     build = bench_initial_state_build(seed, repeats)
+    per_scheme = bench_per_scheme_cost(seed)
     print("\nshard speedup (sequential wall vs modeled critical path):")
     shard = bench_shard_speedup(seed, min(repeats, 5))
     failures = build_failures(build)
@@ -793,8 +858,10 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "model, the per-tier deploy/adjacency columns track the "
             "vectorized struct-of-arrays paths (per-edge seconds are the "
             "throughput of the batch adjacency build), initial_state_build "
-            "times the batched Section-5 build against the per-victim "
+            "times the survivors-only Section-5 build against the per-victim "
             "disable_node reference (speedup >= 3x, identical to_bytes()), "
+            "per_scheme_cost reports unguarded ms per spec of every scheme "
+            "on the paper's 16x16 workload, "
             "and shard_speedup "
             "compares ShardedEngine against the sequential engine on the "
             "128x128 tier (byte-identity checked on every run)"
@@ -811,6 +878,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
         ),
         "channel_overhead": channel,
         "initial_state_build": build,
+        "per_scheme_cost": per_scheme,
         "shard_speedup": shard,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")

@@ -18,9 +18,11 @@ the exact code broker workers run per cold spec:
 * a **sweep-shaped cold workload** — every scheme crossed with several
   trial seeds over a handful of shared scenarios (the shape every sweep
   and figure driver emits), executed once per spec in four passes: the
-  batched build with the initial-state cache off and on (the default), and
-  the per-victim reference build (:mod:`reference_build`, one
-  ``disable_node`` call per thinned node) with the cache off and on.
+  survivors-only build with the initial-state cache off and on (the
+  default), and the per-victim reference build (:mod:`reference_build`:
+  index the whole deployment, then one ``disable_node`` call per thinned
+  node) with the cache off and on.  The ``batched_uncached`` key keeps its
+  historical name; it times the survivors-only build.
   Records from all four passes must be byte-identical.
 
 Usage::
@@ -38,11 +40,11 @@ requests, "p99" is just the max wearing a statistics costume).  The guards
 * the herd performs exactly one simulation (in-flight dedup works);
 * warm p50 latency under a generous quarter-second ceiling (a cache hit
   must never cost simulation time);
-* the default path (batched build + state cache) runs the sweep-shaped
+* the default path (survivors-only build + state cache) runs the sweep-shaped
   cold workload at least ``MIN_COLD_SWEEP_SPEEDUP`` times faster than the
   per-victim reference with the cache off, and no slower than the
   per-victim reference with the cache on, with byte-identical records.
-  The cache's own gain over the batched build (``state_cache_speedup``) is
+  The cache's own gain over the uncached build (``state_cache_speedup``) is
   reported but not guarded.
 """
 
@@ -72,7 +74,7 @@ from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, make_server
 from repro.sim.scenario import ScenarioConfig
 
-from reference_build import per_victim_thinning
+from reference_build import per_victim_build
 
 #: Scenario shape of every benchmarked spec: the paper's Section-5 workload
 #: (16x16 grid, 5000 deployed sensors), so cold-pass cost is the cost a real
@@ -221,12 +223,12 @@ def cold_path_breakdown() -> dict:
 def _timed_records(specs: list, per_victim: bool, cached: bool) -> tuple:
     """Run every spec through ``execute_run``; return (records, wall seconds).
 
-    ``per_victim`` builds with the reference thinning; ``cached`` shares one
+    ``per_victim`` builds with the per-victim reference; ``cached`` shares one
     build per scenario through a fresh ``StateCache``, otherwise every spec
     builds its own initial state.
     """
     cache = StateCache(capacity=len(specs), mode="clone") if cached else None
-    with per_victim_thinning() if per_victim else nullcontext():
+    with per_victim_build() if per_victim else nullcontext():
         started = time.perf_counter()
         records = [execute_run(spec, state_cache=cache) for spec in specs]
         wall = time.perf_counter() - started
@@ -234,14 +236,14 @@ def _timed_records(specs: list, per_victim: bool, cached: bool) -> tuple:
 
 
 def sweep_cold_pass(scenarios: int) -> dict:
-    """Sweep-shaped cold throughput: batched vs per-victim build, cache off vs on.
+    """Sweep-shaped cold throughput: default vs per-victim build, cache off vs on.
 
     Per scenario the workload holds ``len(SCHEMES) * SWEEP_TRIALS`` specs
     sharing one deployment — the shape every sweep/figure driver emits.
     Every pass runs spec-by-spec through ``execute_run`` (the broker
-    worker's code path).  The default path is the batched build with the
-    state cache on; the reference passes swap in the per-victim thinning
-    of :func:`reference_build.per_victim_thinning`.  The four passes run
+    worker's code path).  The default path is the survivors-only build with the
+    state cache on; the reference passes swap in the per-victim build of
+    :func:`reference_build.per_victim_build`.  The four passes run
     ``SWEEP_REPEATS`` times in turn and each reports its median wall time.
     """
     specs = [
@@ -320,7 +322,7 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             "answered from the cache) vs a concurrent herd of one novel spec "
             "(in-flight dedup), plus the off-socket cold path itself: the "
             "state-build/simulate split per cold spec and a sweep-shaped "
-            "workload run with the batched and the per-victim reference "
+            "workload run with the survivors-only and the per-victim reference "
             "build, each with the initial-state cache off and on "
             "(byte-identical records required); p99 latency is reported only "
             "for passes with >= 100 requests, smaller passes carry p50/max "
@@ -374,7 +376,7 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         failures.append("herd requests received differing records")
     if not sweep["records_identical"]:
         failures.append(
-            "sweep records differ between the batched, per-victim and "
+            "sweep records differ between the survivors-only, per-victim and "
             "state-cached passes"
         )
     if sweep["speedup_vs_reference_uncached"] < MIN_COLD_SWEEP_SPEEDUP:

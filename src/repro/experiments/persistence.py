@@ -44,6 +44,7 @@ import os
 import sqlite3
 import tempfile
 import threading
+import time
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -371,6 +372,9 @@ SQLITE_SCHEMA_VERSION = 1
 #: Default database filename when ``--cache-dir`` points at a directory.
 SQLITE_DEFAULT_FILENAME = "runs.sqlite3"
 
+#: Seconds a connection waits for a lock held by another connection.
+SQLITE_BUSY_SECONDS = 30.0
+
 
 class SqliteBackend(CacheBackend):
     """All records in one WAL-mode sqlite database, keyed by ``run_key``.
@@ -397,10 +401,21 @@ class SqliteBackend(CacheBackend):
 
     def _connect(self) -> sqlite3.Connection:
         """A fresh connection with WAL journaling and a generous busy timeout."""
-        connection = sqlite3.connect(str(self.path), timeout=30.0)
-        connection.execute("PRAGMA journal_mode=WAL")
+        connection = sqlite3.connect(str(self.path), timeout=SQLITE_BUSY_SECONDS)
+        deadline = time.monotonic() + SQLITE_BUSY_SECONDS
+        while True:
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                # Switching a new database to WAL needs an exclusive lock, and
+                # SQLite reports a conflicting connection at once instead of
+                # waiting out the busy timeout.
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    connection.close()
+                    raise
+                time.sleep(0.01)
         connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute("PRAGMA busy_timeout=30000")
         return connection
 
     def _ensure_schema(self, connection: sqlite3.Connection) -> None:

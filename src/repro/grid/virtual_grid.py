@@ -289,14 +289,19 @@ class VirtualGrid:
 
     def cell_bounds(self, coord: GridCoord) -> BoundingBox:
         """World-coordinate bounding box of cell ``coord``."""
-        self.validate_coord(coord)
-        min_x = self._origin.x + coord.x * self._cell_size
-        min_y = self._origin.y + coord.y * self._cell_size
+        min_x, min_y = self._cell_corner(coord)
         return BoundingBox(min_x, min_y, min_x + self._cell_size, min_y + self._cell_size)
 
     def cell_center(self, coord: GridCoord) -> Point:
-        """World-coordinate centre of cell ``coord``."""
-        return self.cell_bounds(coord).center
+        """World-coordinate centre of cell ``coord``.
+
+        Computed from the cell's corner coordinates with the float operations
+        of ``cell_bounds(coord).center``, without building the box: spare
+        selection and head elections ask for centres on every replacement.
+        """
+        min_x, min_y = self._cell_corner(coord)
+        size = self._cell_size
+        return Point((min_x + (min_x + size)) / 2.0, (min_y + (min_y + size)) / 2.0)
 
     def central_area(self, coord: GridCoord) -> BoundingBox:
         """The central ``r/2 x r/2`` area of the cell.
@@ -304,9 +309,26 @@ class VirtualGrid:
         Replacement moves target a random point in this area (Section 4,
         "Implementation Issue"): the per-hop moving distance is then at least
         ``r/4``, at most ``sqrt(58)/4 * r`` and roughly ``1.08 * r`` on
-        average.
+        average.  Built directly with the float operations of
+        ``cell_bounds(coord).shrunk(r / 4)``, since every move draws from it.
         """
-        return self.cell_bounds(coord).shrunk(self._cell_size / 4.0)
+        min_x, min_y = self._cell_corner(coord)
+        size = self._cell_size
+        margin = size / 4.0
+        return BoundingBox(
+            min_x + margin,
+            min_y + margin,
+            (min_x + size) - margin,
+            (min_y + size) - margin,
+        )
+
+    def _cell_corner(self, coord: GridCoord) -> Tuple[float, float]:
+        """South-west corner of cell ``coord``, as :meth:`cell_bounds` computes it."""
+        self.validate_coord(coord)
+        return (
+            self._origin.x + coord.x * self._cell_size,
+            self._origin.y + coord.y * self._cell_size,
+        )
 
     def center_distance(self, a: GridCoord, b: GridCoord) -> float:
         """Euclidean distance between the centres of two cells."""

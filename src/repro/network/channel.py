@@ -260,19 +260,22 @@ class ChannelState:
         message is dropped.
         """
         message = Message(
-            kind=kind,
-            source_cell=source_cell,
-            target_cell=target_cell,
-            sent_round=round_index,
-            process_id=process_id,
-            payload=payload,
-            sender_id=sender_id,
-            message_id=self.mailbox.stamp_id(),
+            kind,
+            source_cell,
+            target_cell,
+            round_index,
+            process_id,
+            payload,
+            sender_id,
+            self.mailbox.stamp_id(),
         )
         self._sent_total += 1
         if self.debit_hook is not None:
             self.debit_hook(sender_id)
-        if self._is_lost(message):
+        # The perfect channel (no jam region, no drop rate) loses nothing and
+        # draws nothing, so its sends skip the loss test.
+        lossy = self.jam_region is not None or self.drop_probability > 0
+        if lossy and self._is_lost(message):
             self._dropped_count += 1
         else:
             self.mailbox.send(message)

@@ -102,14 +102,24 @@ class ThinningToEnabledCount(FailureModel):
         if self.target_enabled < 0:
             raise ValueError(f"target_enabled must be non-negative, got {self.target_enabled}")
 
-    def apply(self, state, rng: random.Random) -> List[int]:
-        """Disable random nodes until only ``target_enabled`` remain enabled."""
-        enabled_ids = state.enabled_node_ids()
+    def draw_victims(self, enabled_ids: List[int], rng: random.Random) -> List[int]:
+        """The ids to disable so that ``target_enabled`` of ``enabled_ids`` remain.
+
+        One ``rng.sample`` over the enabled ids in deployment order; the
+        Section-5 build (:func:`~repro.sim.scenario.build_scenario_state`)
+        uses this draw directly to fail the victims before the state is
+        indexed, and :meth:`apply` uses it on a live state.
+        """
         excess = len(enabled_ids) - self.target_enabled
         if excess <= 0:
             return []
-        victims = rng.sample(enabled_ids, excess)
-        state.disable_nodes(victims, reason=self.reason)
+        return rng.sample(enabled_ids, excess)
+
+    def apply(self, state, rng: random.Random) -> List[int]:
+        """Disable random nodes until only ``target_enabled`` remain enabled."""
+        victims = self.draw_victims(state.enabled_node_ids(), rng)
+        if victims:
+            state.disable_nodes(victims, reason=self.reason)
         return victims
 
 

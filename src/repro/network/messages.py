@@ -19,8 +19,7 @@ workers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.grid.virtual_grid import GridCoord
 
@@ -36,14 +35,15 @@ class MessageKind(enum.Enum):
     REPLACEMENT_ACK = "replacement_ack"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A control message addressed to the head of a destination cell.
 
     ``message_id`` is ``None`` until a :class:`Mailbox` stamps the message
-    (see :meth:`Mailbox.post`); stamped ids are unique and sequential within
-    one mailbox.  ``sender_id`` names the node that transmitted the message,
-    so the engine can debit the transmission energy from the right battery.
+    (see :meth:`Mailbox.stamp_id`); stamped ids are unique and sequential
+    within one mailbox.  ``sender_id`` names the node that transmitted the
+    message, so the engine can debit the transmission energy from the right
+    battery.  A named tuple, like :class:`~repro.network.mobility.MoveRecord`:
+    every cascade hop sends one, and the tuple constructor is the cheap one.
     """
 
     kind: MessageKind

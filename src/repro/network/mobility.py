@@ -10,9 +10,9 @@ estimates (Figure 5).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import (
@@ -25,9 +25,14 @@ from repro.grid.virtual_grid import (
 from repro.network.node import MOVE_COST_PER_METER, SensorNode
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    """One completed relocation of a node between two cells."""
+class MoveRecord(NamedTuple):
+    """One completed relocation of a node between two cells.
+
+    A named tuple rather than a frozen dataclass, like
+    :class:`~repro.grid.virtual_grid.GridCoord`: every replacement hop
+    creates one, and the C-level tuple constructor is several times cheaper
+    than the generated dataclass ``__init__``.
+    """
 
     node_id: int
     source_cell: GridCoord
@@ -115,8 +120,9 @@ class MovementModel:
         """Move ``node`` from ``source_cell`` into ``target_cell``.
 
         The caller is responsible for keeping the cell-membership index of the
-        network state consistent (see :meth:`repro.network.state.WsnState.move_node`,
-        which wraps this method).
+        network state consistent.  Nodes of a network state move through
+        :meth:`repro.network.state.WsnState.move_node`, which calls
+        :meth:`move_row` on the state's arrays instead.
         """
         self._grid.validate_coord(source_cell)
         self._grid.validate_coord(target_cell)
@@ -133,4 +139,54 @@ class MovementModel:
             distance=distance,
             round_index=round_index,
             process_id=process_id,
+        )
+
+    def move_row(
+        self,
+        arrays,
+        row: int,
+        source_cell: GridCoord,
+        target_cell: GridCoord,
+        rng: random.Random,
+        round_index: int,
+        process_id: Optional[int] = None,
+        target_position: Optional[Point] = None,
+        source_position: Optional[Point] = None,
+    ) -> MoveRecord:
+        """:meth:`execute_move` for row ``row`` of a ``NodeArrays`` store.
+
+        Writes the position, ``moved_distance``, ``move_count`` and
+        ``energy`` columns directly, with the float operations of
+        :meth:`SensorNode.relocate` in the same order, so the two paths agree
+        bit for bit.  ``source_position`` is the node's current position
+        when the caller already holds it as a point (a handle's), which the
+        record then shares instead of a new point read from the row.  The
+        caller has checked that the row is enabled and both cells are valid;
+        a depleted battery raises :class:`RuntimeError` after the target
+        draw, as ``relocate`` does.
+        """
+        if target_position is None:
+            target_position = self.choose_target_position(target_cell, rng)
+        energy = float(arrays.energy[row])
+        node_id = int(arrays.node_ids[row])
+        if energy <= 0.0:
+            raise RuntimeError(f"node {node_id} has a depleted battery and cannot move")
+        if source_position is None:
+            source_position = Point(*arrays.positions[row].tolist())
+        target_x = target_position.x
+        target_y = target_position.y
+        distance = math.hypot(source_position.x - target_x, source_position.y - target_y)
+        arrays.positions[row] = (target_x, target_y)
+        arrays.moved_distance[row] = float(arrays.moved_distance[row]) + distance
+        arrays.move_count[row] += 1
+        arrays.energy[row] = max(0.0, energy - distance * self._move_cost_per_meter)
+        return MoveRecord(
+            node_id,
+            source_cell,
+            target_cell,
+            source_position,
+            target_position,
+            distance,
+            round_index,
+            process_id,
         )

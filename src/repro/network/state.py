@@ -55,11 +55,11 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Uni
 import numpy as np
 
 from repro.grid.geometry import Point
-from repro.grid.head_election import HeadElectionPolicy, elect_head, lowest_id_policy
+from repro.grid.head_election import HeadElectionPolicy, lowest_id_policy
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.adjacency import NeighborIndex
 from repro.network.mobility import MovementModel, MoveRecord
-from repro.network.node import STATE_CODES, NodeRole, NodeState, SensorNode
+from repro.network.node import STATE_CODES, NodeState, SensorNode
 from repro.network.node_arrays import (
     ENABLED_CODE,
     HEAD_CODE,
@@ -441,12 +441,13 @@ class WsnState:
 
     def enable_node(self, node_id: int) -> None:
         """Re-admit a previously disabled node (extension; not used by the paper)."""
-        node = self.node(node_id)
-        if node.is_enabled:
+        arrays = self.arrays
+        row = arrays.row_of(node_id)
+        if arrays.state[row] == ENABLED_CODE:
             return
-        node.enable()
-        row = self.arrays.row_of(node_id)
-        coord = self.grid.coord_at(int(self.arrays.cell[row]))
+        arrays.state[row] = ENABLED_CODE
+        arrays.role[row] = SPARE_CODE
+        coord = self.grid.coord_at(int(arrays.cell[row]))
         self._index_add(coord, node_id)
         self._elect_cell_head(coord)
         if self._neighbor_index is not None:
@@ -467,55 +468,88 @@ class WsnState:
         Replacement moves in the paper always go to a neighbouring cell; pass
         ``enforce_adjacent=False`` for extension algorithms (e.g. virtual
         force) that relocate nodes over longer distances.
+
+        The move is written straight into the node's array row — no handle
+        is created — and costs O(1) plus a bisect per touched member list: a
+        cell whose head survives keeps it without consulting the policy (see
+        :meth:`_elect_cell_head`).
         """
-        node = self.node(node_id)
-        if not node.is_enabled:
+        arrays = self.arrays
+        row = arrays.row_of(node_id)
+        if arrays.state[row] != ENABLED_CODE:
             raise RuntimeError(f"cannot move disabled node {node_id}")
-        row = self.arrays.row_of(node_id)
-        source_cell = self.grid.coord_at(int(self.arrays.cell[row]))
-        self.grid.validate_coord(target_cell)
+        grid = self.grid
+        source_cell = grid.coord_at(int(arrays.cell[row]))
+        grid.validate_coord(target_cell)
         if enforce_adjacent and not source_cell.is_neighbour_of(target_cell):
             raise ValueError(
                 f"move from {source_cell.as_tuple()} to {target_cell.as_tuple()} is not "
                 "a neighbouring-cell move"
             )
-        record = self.movement_model.execute_move(
-            node,
+        handle = self._handles.get(node_id)
+        record = self.movement_model.move_row(
+            arrays,
+            row,
             source_cell,
             target_cell,
             rng,
             round_index=round_index,
             process_id=process_id,
             target_position=target_position,
+            source_position=None if handle is None else handle._position,
         )
-        self.arrays.cell[row] = self.grid.flat_index(target_cell)
+        if handle is not None:
+            handle._position = record.target_position
+        arrays.cell[row] = grid.flat_index(target_cell)
         self._index_remove(source_cell, node_id)
         self._index_add(target_cell, node_id)
+        # The mover arrives as a spare.  A same-cell move (possible with
+        # enforce_adjacent=False) re-elects over a member list that already
+        # holds it again, so a departing head may win its own cell back.
+        arrays.role[row] = SPARE_CODE
         if self._heads[source_cell] == node_id:
             self._heads[source_cell] = None
             self._elect_cell_head(source_cell)
-        node.role = NodeRole.UNASSIGNED
         self._elect_cell_head(target_cell)
         if self._neighbor_index is not None:
             self._neighbor_index.on_move(row)
         return record
 
     # ----------------------------------------------------------------- heads
-    def _elect_cell_head(self, coord: GridCoord) -> Optional[SensorNode]:
-        members = self.members_of(coord)
-        current_head_id = self._heads[coord]
-        if current_head_id is not None and any(
-            node.node_id == current_head_id for node in members
-        ):
-            head = self.node(current_head_id)
+    def _elect_cell_head(self, coord: GridCoord) -> Optional[int]:
+        """Give ``coord`` a head; returns its id (``None`` for a vacant cell).
+
+        A recorded head that is still a member survives — found with a bisect
+        on the sorted member list, without consulting the policy or touching
+        any role, because every mutation path leaves the non-head members of
+        the cells it touches as spares (the role-column invariant
+        :meth:`check_invariants` asserts); a caller adding a member writes
+        it as a spare first.  Only a cell whose head is gone, or that was
+        vacant, runs the policy, and only then are its members' roles
+        rewritten.
+        """
+        members = self._cell_members[coord]
+        head_id = self._heads[coord]
+        if head_id is not None:
+            position = bisect_left(members, head_id)
+            if position < len(members) and members[position] == head_id:
+                return head_id
+        if not members:
+            self._heads[coord] = None
+            return None
+        if self._head_policy is lowest_id_policy:
+            head_id = members[0]
         else:
-            head = elect_head(members, self.grid.cell_center(coord), self._head_policy)
-            self._heads[coord] = None if head is None else head.node_id
-        for node in members:
-            node.role = NodeRole.SPARE
-        if head is not None:
-            head.role = NodeRole.HEAD
-        return head
+            candidates = [self.node(node_id) for node_id in members]
+            head_id = self._head_policy(candidates, self.grid.cell_center(coord)).node_id
+        self._heads[coord] = head_id
+        arrays = self.arrays
+        role = arrays.role
+        row_of = arrays.row_of
+        for node_id in members:
+            role[row_of(node_id)] = SPARE_CODE
+        role[row_of(head_id)] = HEAD_CODE
+        return head_id
 
     def _elect_heads_lowest_id(self, cells: Iterable[GridCoord]) -> None:
         """Make the smallest member id of each occupied cell in ``cells`` its head.
@@ -557,7 +591,8 @@ class WsnState:
         """Force a fresh election in ``coord`` (head-rotation extension)."""
         self.grid.validate_coord(coord)
         self._heads[coord] = None
-        return self._elect_cell_head(coord)
+        head_id = self._elect_cell_head(coord)
+        return None if head_id is None else self.node(head_id)
 
     def heads(self) -> Dict[GridCoord, Optional[int]]:
         """Copy of the head assignment (cell -> head node id or ``None``)."""
@@ -765,6 +800,7 @@ class WsnState:
         arrays.move_count[row] = move_count
         arrays.state[row] = ENABLED_CODE
         arrays.cell[row] = self.grid.flat_index(cell)
+        arrays.role[row] = SPARE_CODE
         self._index_add(cell, node_id)
         self._elect_cell_head(cell)
 

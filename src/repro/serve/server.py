@@ -71,6 +71,11 @@ from repro.sim.rng import derive_rng
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8008
 
+#: Largest request body (bytes) the server reads.  A declared
+#: ``Content-Length`` above it is answered 413 before any byte is read; a
+#: spec document is well under a kilobyte.
+MAX_BODY_BYTES = 64 * 1024
+
 #: The figure endpoints the server exposes (each maps to a driver function).
 FIGURE_ENDPOINTS = ("fig6", "fig7", "fig8")
 
@@ -244,6 +249,14 @@ class ExperimentServer(ThreadingHTTPServer):
             self._temp_dir.cleanup()
 
 
+class RequestBodyError(ValueError):
+    """A request body rejected from its headers alone, with its HTTP status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class _RequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the shared broker/cache (one thread each)."""
 
@@ -361,8 +374,28 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _read_body(self) -> object:
-        """Parse the request body as JSON (raises ``ValueError`` when invalid)."""
-        length = int(self.headers.get("Content-Length") or 0)
+        """Parse the request body as JSON (raises ``ValueError`` when invalid).
+
+        The declared ``Content-Length`` is checked before anything is read:
+        a negative or non-integer length would make the read wait for
+        end-of-stream, and a length above :data:`MAX_BODY_BYTES` would be
+        read unbounded.  Both raise :class:`RequestBodyError` (400 and 413)
+        and close the connection, since the unread body is still on it.
+        """
+        declared = self.headers.get("Content-Length")
+        try:
+            length = int(declared) if declared else 0
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise RequestBodyError(400, f"invalid Content-Length {declared!r}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise RequestBodyError(
+                413,
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body")
@@ -375,6 +408,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         """``POST /run``: one spec, cache-first, optionally streamed."""
         try:
             spec = spec_from_request(self._read_body())
+        except RequestBodyError as error:
+            self._send_error_json(error.status, str(error))
+            return
         except ValueError as error:
             self._send_error_json(400, str(error))
             return

@@ -414,7 +414,9 @@ class RoundBasedEngine:
         node that fired the radio, whether or not the channel lost the
         message in transit.
         """
-        self.state.node(sender_id).charge_message_cost(cost=self._message_cost)
+        arrays = self.state.arrays
+        row = arrays.row_of(sender_id)
+        arrays.energy[row] = max(0.0, float(arrays.energy[row]) - self._message_cost)
 
     def _messaging_pending(self) -> bool:
         """Whether control traffic is still in flight or awaiting retries.

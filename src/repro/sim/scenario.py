@@ -28,6 +28,7 @@ from repro.grid.head_election import (
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
 from repro.network.deployment import deploy_per_cell, deploy_uniform
 from repro.network.failures import ThinningToEnabledCount
+from repro.network.node import STATE_CODES
 from repro.network.state import WsnState
 from repro.sim.rng import derive_rng
 
@@ -165,6 +166,14 @@ def build_scenario_state(config: ScenarioConfig) -> WsnState:
     The returned :class:`~repro.network.state.WsnState` is ready for a
     controller: nodes are deployed, the requested number of nodes has been
     disabled, and heads are elected in every non-vacant cell.
+
+    The thinning victims are drawn exactly as
+    :meth:`ThinningToEnabledCount.apply` draws them, but marked failed on
+    the fresh arrays *before* the state is built, so the constructor indexes
+    and elects over the survivors only.  That equals indexing all deployed
+    nodes and then disabling the victims: every policy in
+    :data:`HEAD_POLICIES` is a stateless argbest, so the best survivor of a
+    cell is its head either way.
     """
     grid = config.make_grid()
     deploy_rng = derive_rng(config.seed, "deployment")
@@ -176,10 +185,18 @@ def build_scenario_state(config: ScenarioConfig) -> WsnState:
         arrays = deploy_per_cell(
             grid, config.deployed_count // config.cell_count, deploy_rng, as_arrays=True
         )
-    state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
     if config.target_enabled is not None:
         thinning = ThinningToEnabledCount(target_enabled=config.target_enabled)
-        thinning.apply(state, derive_rng(config.seed, "thinning"))
+        victims = thinning.draw_victims(
+            arrays.node_ids[arrays.enabled_mask()].tolist(),
+            derive_rng(config.seed, "thinning"),
+        )
+        # Fresh deployment rows are unassigned, so the victims keep the role
+        # a disabled node has.
+        arrays.state[arrays.rows_of(np.asarray(victims, dtype=np.int64))] = (
+            STATE_CODES[thinning.reason]
+        )
+    state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
     if config.initial_energy is not None:
         # Batched battery install: the per-node jitter draws happen in the
         # historical node order, the affine transform is vectorized, and the

@@ -729,7 +729,7 @@ class ShardedEngine(RoundBasedEngine):
                 pre = mover[1:]
             # The movement draw — random_point_in_box over the central area
             # of the vacant cell, x then y, identical to
-            # MovementModel.execute_move.
+            # MovementModel.move_row.
             box = area_cache.get(vacant)
             if box is None:
                 box = central_area(vacant)

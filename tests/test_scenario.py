@@ -1,7 +1,11 @@
 """Unit tests for the Section-5 scenario configuration and builder."""
 
+import dataclasses
+
 import pytest
 
+from repro.network.failures import ThinningToEnabledCount
+from repro.sim.rng import derive_rng
 from repro.sim.scenario import HEAD_POLICIES, ScenarioConfig, build_scenario_state
 
 
@@ -111,3 +115,56 @@ class TestPerCellDeploymentValidation:
         state = build_scenario_state(config)
         assert state.node_count == 48
         assert all(count == 3 for count in state.occupancy().values())
+
+
+class TestSurvivorsOnlyBuild:
+    """The build fails its thinning victims before indexing; nothing else may change.
+
+    Two references build the whole deployment first and then thin it with
+    the same victim draw: one ``disable_node`` call per victim (the
+    historical algorithm) and one :meth:`ThinningToEnabledCount.apply`
+    batch.  Every observable of the three states must agree.
+    """
+
+    CONFIGS = {
+        "uniform": ScenarioConfig(columns=6, rows=5, deployed_count=400, spare_surplus=12),
+        "per_cell": ScenarioConfig(
+            columns=6, rows=5, deployed_count=240, spare_surplus=12, deployment="per_cell"
+        ),
+        "nothing_to_thin": ScenarioConfig(
+            columns=6, rows=5, deployed_count=42, spare_surplus=12
+        ),
+        "paper": ScenarioConfig(spare_surplus=55),
+    }
+
+    @staticmethod
+    def _thinned_after_indexing(config: ScenarioConfig, per_victim: bool):
+        state = build_scenario_state(dataclasses.replace(config, spare_surplus=None))
+        thinning = ThinningToEnabledCount(target_enabled=config.target_enabled)
+        rng = derive_rng(config.seed, "thinning")
+        if per_victim:
+            for node_id in thinning.draw_victims(state.enabled_node_ids(), rng):
+                state.disable_node(node_id)
+        else:
+            thinning.apply(state, rng)
+        return state
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("policy", sorted(HEAD_POLICIES))
+    @pytest.mark.parametrize("shape", sorted(CONFIGS))
+    def test_equals_index_then_disable(self, shape, policy, seed):
+        config = dataclasses.replace(self.CONFIGS[shape], head_policy=policy, seed=seed)
+        if shape == "nothing_to_thin":
+            assert config.deployed_count == config.target_enabled
+        built = build_scenario_state(config)
+        built.check_invariants()
+        assert built.enabled_count == config.target_enabled
+        for per_victim in (True, False):
+            reference = self._thinned_after_indexing(config, per_victim)
+            assert built.to_bytes() == reference.to_bytes()
+            assert built.heads() == reference.heads()
+            assert built.vacant_cells() == reference.vacant_cells()
+            for coord in built.grid.all_coords():
+                assert [n.node_id for n in built.members_of(coord)] == [
+                    n.node_id for n in reference.members_of(coord)
+                ]

@@ -9,9 +9,13 @@ The contracts exercised here:
 * ``/run?stream=1`` carries live per-round events and publishes the finished
   record so the next query is a hit;
 * error mapping: bad specs -> 400, unknown endpoints -> 404, a full broker
-  queue -> 503.
+  queue -> 503;
+* a hostile ``Content-Length`` (negative, non-integer, above the body cap)
+  is answered 400/413 at once instead of hanging the connection.
 """
 
+import json
+import socket
 import threading
 from contextlib import contextmanager
 
@@ -22,6 +26,7 @@ from repro.experiments.orchestration import execute_run
 from repro.experiments.persistence import record_to_dict
 from repro.serve import ServeClient, ServeConfig, make_server, spec_from_request
 from repro.serve.client import ServeError
+from repro.serve.server import MAX_BODY_BYTES
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 
 
@@ -170,6 +175,51 @@ def test_unknown_scheme_maps_to_400_before_any_run():
             assert "unknown scheme" in str(excinfo.value)
         stats = server.broker.stats()
         assert stats.executed == 0 and stats.failed == 0
+
+
+def raw_post_run(url: str, headers: str, body: bytes = b"") -> int:
+    """POST /run over a raw keep-alive socket; the status, or a failure on hang."""
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(
+            f"POST /run HTTP/1.1\r\nHost: {host}\r\nConnection: keep-alive\r\n"
+            f"{headers}\r\n".encode("latin-1") + body
+        )
+        try:
+            status_line = conn.makefile("rb").readline()
+        except socket.timeout:
+            pytest.fail(f"no response within 5 s to headers {headers!r}")
+    return int(status_line.split()[1])
+
+
+@pytest.mark.parametrize("length", ["-1", "-100", "abc", "1.5", "0x10"])
+def test_invalid_content_length_maps_to_400_without_waiting(length):
+    with running_server() as (server, _):
+        status = raw_post_run(
+            server.url, f"Content-Type: application/json\r\nContent-Length: {length}\r\n"
+        )
+        assert status == 400
+
+
+def test_oversized_content_length_maps_to_413_before_reading():
+    with running_server() as (server, _):
+        # Only a few bytes follow the headers: the server must answer from
+        # the declared length, not wait for the rest of the body.
+        status = raw_post_run(
+            server.url,
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n",
+            body=b'{"scheme": ',
+        )
+        assert status == 413
+        assert server.broker.stats().executed == 0
+
+
+def test_body_at_the_cap_is_read():
+    with running_server() as (server, _):
+        body = json.dumps(spec_payload(scheme="NOPE")).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status = raw_post_run(server.url, f"Content-Length: {len(body)}\r\n", body)
+        assert status == 400  # read and parsed: the unknown scheme is the error
 
 
 def test_bad_priority_maps_to_400():
