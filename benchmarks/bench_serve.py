@@ -17,13 +17,16 @@ the exact code broker workers run per cold spec:
   state versus simulating from it, per scheme;
 * a **sweep-shaped cold workload** — every scheme crossed with several
   trial seeds over a handful of shared scenarios (the shape every sweep
-  and figure driver emits), executed once per spec in four passes: the
-  survivors-only build with the initial-state cache off and on (the
-  default), and the per-victim reference build (:mod:`reference_build`:
-  index the whole deployment, then one ``disable_node`` call per thinned
-  node) with the cache off and on.  The ``batched_uncached`` key keeps its
-  historical name; it times the survivors-only build.
-  Records from all four passes must be byte-identical.
+  and figure driver emits), executed in four passes: the survivors-only
+  build with and without scenario reuse (the default reuses), and the
+  per-victim reference build (:mod:`reference_build`: index the whole
+  deployment, then one ``disable_node`` call per thinned node) with and
+  without it.  "Shared" passes run the batch through
+  ``ExperimentBroker(workers=2).run``, which builds each consecutive
+  same-scenario group once and simulates every spec on a clone; "unshared"
+  passes call ``execute_run`` spec by spec, one build each.  The
+  ``batched_unshared`` key names the survivors-only build.  Records from
+  all four passes must be byte-identical.
 
 Usage::
 
@@ -40,12 +43,12 @@ requests, "p99" is just the max wearing a statistics costume).  The guards
 * the herd performs exactly one simulation (in-flight dedup works);
 * warm p50 latency under a generous quarter-second ceiling (a cache hit
   must never cost simulation time);
-* the default path (survivors-only build + state cache) runs the sweep-shaped
-  cold workload at least ``MIN_COLD_SWEEP_SPEEDUP`` times faster than the
-  per-victim reference with the cache off, and no slower than the
-  per-victim reference with the cache on, with byte-identical records.
-  The cache's own gain over the uncached build (``state_cache_speedup``) is
-  reported but not guarded.
+* the default path (survivors-only build + scenario reuse) runs the
+  sweep-shaped cold workload at least ``MIN_COLD_SWEEP_SPEEDUP`` times
+  faster than the unshared per-victim reference, and no slower than the
+  shared per-victim reference, with byte-identical records.  The reuse's
+  own gain over the unshared build (``scenario_reuse_speedup``) is reported
+  but not guarded.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # running as a script: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.experiments.broker import ExperimentBroker
 from repro.experiments.orchestration import (
     RunSpec,
     build_initial_state,
@@ -69,7 +73,6 @@ from repro.experiments.orchestration import (
     simulate_from,
 )
 from repro.experiments.persistence import record_to_dict
-from repro.experiments.state_cache import StateCache
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, make_server
 from repro.sim.scenario import ScenarioConfig
@@ -193,15 +196,13 @@ def _sweep_scenario(seed: int) -> ScenarioConfig:
 def cold_path_breakdown() -> dict:
     """Seconds per cold spec split into state build vs simulation, per scheme.
 
-    This times the two halves of ``execute_run`` directly (no HTTP, no
-    state cache), so the split is exactly what a broker worker pays on a
-    novel spec.
+    This times the two halves of ``execute_run`` directly (no HTTP), so
+    the split is exactly what a broker worker pays on a novel spec.
     """
     config = _sweep_scenario(seed=1)
     started = time.perf_counter()
     state = build_initial_state(
-        RunSpec(scenario=config, scheme=SCHEMES[0], seed=1, max_rounds=MAX_ROUNDS),
-        state_cache=None,
+        RunSpec(scenario=config, scheme=SCHEMES[0], seed=1, max_rounds=MAX_ROUNDS)
     )
     build_seconds = time.perf_counter() - started
     simulate = {}
@@ -220,30 +221,35 @@ def cold_path_breakdown() -> dict:
     }
 
 
-def _timed_records(specs: list, per_victim: bool, cached: bool) -> tuple:
-    """Run every spec through ``execute_run``; return (records, wall seconds).
+def _timed_records(specs: list, per_victim: bool, shared: bool) -> tuple:
+    """Run the specs once; return (records, wall seconds).
 
-    ``per_victim`` builds with the per-victim reference; ``cached`` shares one
-    build per scenario through a fresh ``StateCache``, otherwise every spec
-    builds its own initial state.
+    ``per_victim`` builds with the per-victim reference; ``shared`` runs the
+    batch through a fresh two-worker :class:`ExperimentBroker`, which builds
+    each consecutive same-scenario group once, otherwise every spec builds
+    its own initial state through ``execute_run``.
     """
-    cache = StateCache(capacity=len(specs), mode="clone") if cached else None
     with per_victim_build() if per_victim else nullcontext():
-        started = time.perf_counter()
-        records = [execute_run(spec, state_cache=cache) for spec in specs]
-        wall = time.perf_counter() - started
+        if shared:
+            with ExperimentBroker(workers=2) as broker:
+                started = time.perf_counter()
+                records = broker.run(specs)
+                wall = time.perf_counter() - started
+        else:
+            started = time.perf_counter()
+            records = [execute_run(spec) for spec in specs]
+            wall = time.perf_counter() - started
     return records, wall
 
 
 def sweep_cold_pass(scenarios: int) -> dict:
-    """Sweep-shaped cold throughput: default vs per-victim build, cache off vs on.
+    """Sweep-shaped cold throughput: default vs per-victim build, reuse off vs on.
 
     Per scenario the workload holds ``len(SCHEMES) * SWEEP_TRIALS`` specs
     sharing one deployment — the shape every sweep/figure driver emits.
-    Every pass runs spec-by-spec through ``execute_run`` (the broker
-    worker's code path).  The default path is the survivors-only build with the
-    state cache on; the reference passes swap in the per-victim build of
-    :func:`reference_build.per_victim_build`.  The four passes run
+    The default path is the survivors-only build with scenario reuse (the
+    broker's grouped path); the reference passes swap in the per-victim
+    build of :func:`reference_build.per_victim_build`.  The four passes run
     ``SWEEP_REPEATS`` times in turn and each reports its median wall time.
     """
     specs = [
@@ -258,16 +264,16 @@ def sweep_cold_pass(scenarios: int) -> dict:
         for scheme in SCHEMES
     ]
     passes = {
-        "reference_uncached": (True, False),
-        "reference_cached": (True, True),
-        "batched_uncached": (False, False),
+        "reference_unshared": (True, False),
+        "reference_shared": (True, True),
+        "batched_unshared": (False, False),
         "default": (False, True),
     }
     samples = {name: [] for name in passes}
     dumps = set()
     for _ in range(SWEEP_REPEATS):
-        for name, (per_victim, cached) in passes.items():
-            records, wall = _timed_records(specs, per_victim, cached)
+        for name, (per_victim, shared) in passes.items():
+            records, wall = _timed_records(specs, per_victim, shared)
             samples[name].append(wall)
             dumps.add(
                 tuple(json.dumps(record_to_dict(r), sort_keys=True) for r in records)
@@ -282,13 +288,15 @@ def sweep_cold_pass(scenarios: int) -> dict:
         "specs_per_second": {
             name: round(len(specs) / wall, 2) for name, wall in walls.items()
         },
-        "speedup_vs_reference_uncached": round(
-            walls["reference_uncached"] / walls["default"], 2
+        "speedup_vs_reference_unshared": round(
+            walls["reference_unshared"] / walls["default"], 2
         ),
-        "speedup_vs_reference_cached": round(
-            walls["reference_cached"] / walls["default"], 2
+        "speedup_vs_reference_shared": round(
+            walls["reference_shared"] / walls["default"], 2
         ),
-        "state_cache_speedup": round(walls["batched_uncached"] / walls["default"], 2),
+        "scenario_reuse_speedup": round(
+            walls["batched_unshared"] / walls["default"], 2
+        ),
         "records_identical": len(dumps) == 1,
     }
 
@@ -323,13 +331,14 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             "(in-flight dedup), plus the off-socket cold path itself: the "
             "state-build/simulate split per cold spec and a sweep-shaped "
             "workload run with the survivors-only and the per-victim reference "
-            "build, each with the initial-state cache off and on "
+            "build, each spec by spec (unshared) and through a two-worker "
+            "broker that builds each same-scenario group once (shared) "
             "(byte-identical records required); p99 latency is reported only "
             "for passes with >= 100 requests, smaller passes carry p50/max "
             "only; guards: warm_vs_cold_speedup >= 10x, "
-            "cold_path.sweep.speedup_vs_reference_uncached >= 2x, "
-            "cold_path.sweep.speedup_vs_reference_cached >= 1x; "
-            "state_cache_speedup is an unguarded diagnostic"
+            "cold_path.sweep.speedup_vs_reference_unshared >= 2x, "
+            "cold_path.sweep.speedup_vs_reference_shared >= 1x; "
+            "scenario_reuse_speedup is an unguarded diagnostic"
         ),
         "scenario": SCENARIO,
         "schemes": list(SCHEMES),
@@ -376,21 +385,21 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         failures.append("herd requests received differing records")
     if not sweep["records_identical"]:
         failures.append(
-            "sweep records differ between the survivors-only, per-victim and "
-            "state-cached passes"
+            "sweep records differ between the survivors-only, per-victim, "
+            "shared and unshared passes"
         )
-    if sweep["speedup_vs_reference_uncached"] < MIN_COLD_SWEEP_SPEEDUP:
+    if sweep["speedup_vs_reference_unshared"] < MIN_COLD_SWEEP_SPEEDUP:
         failures.append(
             f"the default path runs the sweep-shaped cold workload only "
-            f"{sweep['speedup_vs_reference_uncached']:.2f}x faster than the "
-            f"per-victim reference without the state cache "
+            f"{sweep['speedup_vs_reference_unshared']:.2f}x faster than the "
+            f"unshared per-victim reference "
             f"(guard: >= {MIN_COLD_SWEEP_SPEEDUP:.0f}x)"
         )
-    if sweep["speedup_vs_reference_cached"] < 1.0:
+    if sweep["speedup_vs_reference_shared"] < 1.0:
         failures.append(
             f"the default path runs the sweep-shaped cold workload at "
-            f"{sweep['speedup_vs_reference_cached']:.2f}x the per-victim "
-            "reference with the state cache (guard: no slower)"
+            f"{sweep['speedup_vs_reference_shared']:.2f}x the shared per-victim "
+            "reference (guard: no slower)"
         )
     return report, failures
 
@@ -432,9 +441,9 @@ def main(argv=None) -> int:
         f"({report['warm_vs_cold_speedup']}x), herd of "
         f"{report['herd']['concurrent_requests']} -> "
         f"{report['herd']['simulations_performed']} simulation, "
-        f"cold sweep {sweep['speedup_vs_reference_uncached']}x / "
-        f"{sweep['speedup_vs_reference_cached']}x the per-victim reference "
-        f"without / with the state cache "
+        f"cold sweep {sweep['speedup_vs_reference_unshared']}x / "
+        f"{sweep['speedup_vs_reference_shared']}x the per-victim reference "
+        f"without / with scenario reuse "
         f"({sweep['specs_per_second']['default']} specs/s, identical records)"
     )
     if not args.smoke:

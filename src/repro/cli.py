@@ -75,11 +75,6 @@ from repro.experiments.orchestration import (
     make_executor,
 )
 from repro.experiments.persistence import CACHE_BACKENDS, RunCache, make_cache
-from repro.experiments.state_cache import (
-    STATE_CACHE_MODES,
-    StateCache,
-    set_default_state_cache,
-)
 from repro.experiments.scenario_files import (
     Scenario,
     ScenarioValidationError,
@@ -547,15 +542,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable result caching even when --cache-dir is given",
     )
-    parser.add_argument(
-        "--state-cache",
-        choices=list(STATE_CACHE_MODES) + ["off"],
-        default="clone",
-        help="initial-state cache mode: reuse each scenario's built initial "
-        "state across schemes and trials as live clones (default), as "
-        "compact binary snapshots, or not at all; results are byte-identical "
-        "in every mode",
-    )
 
 
 # ------------------------------------------------------------------ commands
@@ -563,8 +549,6 @@ def _execution_backend(
     args: argparse.Namespace,
 ) -> tuple[RunExecutor, Optional[RunCache]]:
     """Executor + optional cache as selected by the shared CLI flags."""
-    mode = getattr(args, "state_cache", "clone")
-    set_default_state_cache(None if mode == "off" else StateCache(mode=mode))
     executor = make_executor(args.jobs)
     cache: Optional[RunCache] = None
     if args.cache_dir is not None and not args.no_cache:

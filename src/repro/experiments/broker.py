@@ -17,6 +17,10 @@ into a long-running service core:
 * **Bounded queue depth** — past the bound, ``submit`` raises
   :class:`BrokerQueueFull` instead of buffering unboundedly; the serve layer
   maps that to HTTP 503.
+* **Scenario reuse** — ``submit_many`` queues each run of consecutive fresh
+  specs with an equal scenario (the sweep's schemes x trials shape) as one
+  item; the worker builds that initial state once and simulates every spec
+  on a private clone, exactly like the executors' scenario groups.
 
 Determinism makes all of this sound: ``execute_run`` is a pure function of
 its spec, so a deduplicated or cached record is byte-identical to what a
@@ -32,6 +36,7 @@ parallelism keeps working).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import queue
@@ -39,16 +44,15 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.orchestration import (
-    USE_DEFAULT_STATE_CACHE,
     RunExecutor,
     RunRecord,
     RunSpec,
     SerialExecutor,
-    _resolve_state_cache,
+    build_initial_state,
     execute_run,
+    simulate_from,
 )
 from repro.experiments.persistence import RunCache, run_key
-from repro.experiments.state_cache import StateCacheStats
 
 __all__ = [
     "Priority",
@@ -92,7 +96,8 @@ class BrokerStats:
     rejected:
         Submissions refused with :class:`BrokerQueueFull`.
     pending:
-        Specs queued but not yet picked up by a worker.
+        Specs queued but not yet picked up by a worker (a worker picks up a
+        whole scenario group at once).
     in_flight:
         Distinct specs admitted but not yet resolved (queued or running).
     """
@@ -160,26 +165,24 @@ class ExperimentBroker:
     ----------
     cache:
         Optional :class:`~repro.experiments.persistence.RunCache` consulted
-        on admission and written through on completion.  Any backend works;
-        the sqlite backend is the natural choice when several broker
-        processes share one store.
+        on admission and written through on completion (best-effort: a
+        failing write still resolves the handle).  Any backend works; the
+        sqlite backend is the natural choice when several broker processes
+        share one store.
     workers:
-        Worker threads draining the queue.  Each runs ``run_fn`` (default:
-        the pure :func:`~repro.experiments.orchestration.execute_run`)
-        in-process; simulation determinism makes thread scheduling
-        irrelevant to results.
+        Worker threads draining the queue.  By default each builds a queued
+        scenario group's initial state once and simulates every spec on a
+        clone (byte-identical to
+        :func:`~repro.experiments.orchestration.execute_run` per spec);
+        simulation determinism makes thread scheduling irrelevant to
+        results.
     queue_limit:
         Maximum pending (queued, not yet running) specs before ``submit``
         raises :class:`BrokerQueueFull`; ``None`` means unbounded.
     run_fn:
-        Execution function ``RunSpec -> RunRecord``; injectable for tests
-        (e.g. a gated stub proving dedup performs exactly one simulation).
-    state_cache:
-        Initial-state cache consulted by the default ``run_fn``: specs
-        sharing a scenario (the sweep's N schemes x T trials shape) build
-        the initial state once and simulate on private copies.  Defaults to
-        the process-wide cache; pass ``None`` to force from-scratch builds.
-        Ignored when a custom ``run_fn`` is injected.
+        Execution function ``RunSpec -> RunRecord``, called once per spec;
+        injectable for tests (e.g. a gated stub proving dedup performs
+        exactly one simulation).  Only the default shares builds.
     """
 
     def __init__(
@@ -188,7 +191,6 @@ class ExperimentBroker:
         workers: int = 1,
         queue_limit: Optional[int] = None,
         run_fn: Callable[[RunSpec], RunRecord] = execute_run,
-        state_cache: object = USE_DEFAULT_STATE_CACHE,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -196,7 +198,6 @@ class ExperimentBroker:
             raise ValueError(f"queue_limit must be >= 1 or None, got {queue_limit}")
         self.cache = cache
         self.queue_limit = queue_limit
-        self.state_cache = state_cache
         self._run_fn = run_fn
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
         self._lock = threading.Lock()
@@ -228,44 +229,77 @@ class ExperimentBroker:
         ``deduplicated``) > fresh enqueue.  Raises :class:`BrokerQueueFull`
         when the pending queue is at its bound.
         """
-        key = run_key(spec)
-        if self.cache is not None:
-            hit = self.cache.get(spec)
-            if hit is not None:
-                with self._lock:
-                    self._submitted += 1
-                    self._cache_hits += 1
-                handle = RunHandle(spec, key, cached=True)
-                handle._resolve(dataclasses.replace(hit, cached=True))
-                return handle
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("broker is shut down")
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self._submitted += 1
-                self._dedup_hits += 1
-                existing.deduplicated = True
-                return existing
-            if self.queue_limit is not None and self._pending >= self.queue_limit:
-                self._rejected += 1
-                raise BrokerQueueFull(
-                    f"broker queue is full ({self._pending} pending, "
-                    f"limit {self.queue_limit})"
-                )
-            self._submitted += 1
-            self._sequence += 1
-            self._pending += 1
-            handle = RunHandle(spec, key)
-            self._inflight[key] = handle
-            self._queue.put((int(priority), self._sequence, handle))
-        return handle
+        return self.submit_many([spec], priority)[0]
 
     def submit_many(
         self, specs: Sequence[RunSpec], priority: Priority = Priority.BATCH
     ) -> List[RunHandle]:
-        """Admit a batch of specs in order and return their handles."""
-        return [self.submit(spec, priority=priority) for spec in specs]
+        """Admit a batch of specs in order and return their handles.
+
+        Each spec is admitted as by :meth:`submit`; consecutive fresh specs
+        with an equal scenario are queued as one group, so a worker builds
+        their initial state once.  If admission stops part-way
+        (:class:`BrokerQueueFull`), the specs admitted before it are still
+        queued before the error propagates.
+        """
+        keys = [run_key(spec) for spec in specs]
+        hits = [self.cache.get(spec) if self.cache is not None else None for spec in specs]
+        handles: List[RunHandle] = []
+        group: List[RunHandle] = []
+        with self._lock:
+            try:
+                for spec, key, hit in zip(specs, keys, hits):
+                    handle = self._admit(spec, key, hit)
+                    handles.append(handle)
+                    if handle.cached or handle.deduplicated:
+                        continue
+                    if group and group[0].spec.scenario != spec.scenario:
+                        self._enqueue(group, priority)
+                        group = []
+                    group.append(handle)
+            finally:
+                if group:
+                    self._enqueue(group, priority)
+        return handles
+
+    def _admit(
+        self, spec: RunSpec, key: str, hit: Optional[RunRecord]
+    ) -> RunHandle:
+        """Resolve one spec against a cache hit, the in-flight table, or a new handle.
+
+        Called with the lock held.  A new handle is registered in flight and
+        counted pending; the caller queues it.
+        """
+        if hit is not None:
+            self._submitted += 1
+            self._cache_hits += 1
+            handle = RunHandle(spec, key, cached=True)
+            handle._resolve(dataclasses.replace(hit, cached=True))
+            return handle
+        if self._closed:
+            raise RuntimeError("broker is shut down")
+        existing = self._inflight.get(key)
+        if existing is not None:
+            self._submitted += 1
+            self._dedup_hits += 1
+            existing.deduplicated = True
+            return existing
+        if self.queue_limit is not None and self._pending >= self.queue_limit:
+            self._rejected += 1
+            raise BrokerQueueFull(
+                f"broker queue is full ({self._pending} pending, "
+                f"limit {self.queue_limit})"
+            )
+        self._submitted += 1
+        self._pending += 1
+        handle = RunHandle(spec, key)
+        self._inflight[key] = handle
+        return handle
+
+    def _enqueue(self, group: List[RunHandle], priority: Priority) -> None:
+        """Queue one scenario group (called with the lock held)."""
+        self._sequence += 1
+        self._queue.put((int(priority), self._sequence, group))
 
     def run(
         self, specs: Sequence[RunSpec], priority: Priority = Priority.BATCH
@@ -274,11 +308,6 @@ class ExperimentBroker:
         return [handle.result() for handle in self.submit_many(specs, priority)]
 
     # ------------------------------------------------------------- lifecycle
-    def state_cache_stats(self) -> Optional[StateCacheStats]:
-        """Counters of the broker's initial-state cache (``None`` if disabled)."""
-        cache = _resolve_state_cache(self.state_cache)
-        return cache.stats() if cache is not None else None
-
     def stats(self) -> BrokerStats:
         """A consistent snapshot of the broker's counters."""
         with self._lock:
@@ -321,35 +350,63 @@ class ExperimentBroker:
     def _worker_loop(self) -> None:
         """Drain the priority queue until the shutdown sentinel arrives."""
         while True:
-            _, _, handle = self._queue.get()
-            if handle is None:
+            _, _, group = self._queue.get()
+            if group is None:
                 return
             with self._lock:
-                self._pending -= 1
+                self._pending -= len(group)
+            self._run_group(group)
+
+    def _run_group(self, group: List[RunHandle]) -> None:
+        """Execute one queued group; each spec succeeds or fails on its own.
+
+        The default path builds the group's initial state once and simulates
+        every spec on a private clone; a failed build fails the whole group.
+        A custom ``run_fn`` is called per spec.
+        """
+        base = None
+        if self._run_fn is execute_run:
             try:
-                if self._run_fn is execute_run:
-                    # The default run function threads the broker's state
-                    # cache through, so worker threads share one initial
-                    # state per scenario (built once, herd-deduplicated by
-                    # the cache's per-key build locks).
-                    record = execute_run(handle.spec, state_cache=self.state_cache)
-                else:
-                    record = self._run_fn(handle.spec)
+                base = build_initial_state(group[0].spec)
             except BaseException as error:  # noqa: BLE001 - forwarded to waiters
-                with self._lock:
-                    self._failed += 1
-                    self._inflight.pop(handle.key, None)
-                handle._fail(error)
-                continue
+                for handle in group:
+                    self._complete(handle, error=error)
+                return
+        for handle in group:
+            try:
+                if base is None:
+                    record = self._run_fn(handle.spec)
+                else:
+                    record = simulate_from(base.clone(), handle.spec)
+            except BaseException as error:  # noqa: BLE001 - forwarded to waiters
+                self._complete(handle, error=error)
+            else:
+                self._complete(handle, record=record)
+
+    def _complete(
+        self,
+        handle: RunHandle,
+        record: Optional[RunRecord] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Publish one spec's outcome and retire it from the in-flight table."""
+        if error is None and self.cache is not None:
             # Publish to the cache BEFORE leaving the in-flight table: a
             # concurrent submit always sees the spec either in flight or in
-            # the cache, never in the gap between the two.
-            if self.cache is not None:
+            # the cache, never in the gap between the two.  Persistence is
+            # best-effort: a failing store must not strand the waiters.
+            with contextlib.suppress(Exception):
                 self.cache.put(record)
-            with self._lock:
+        with self._lock:
+            if error is None:
                 self._executed += 1
-                self._inflight.pop(handle.key, None)
+            else:
+                self._failed += 1
+            self._inflight.pop(handle.key, None)
+        if error is None:
             handle._resolve(record)
+        else:
+            handle._fail(error)
 
 
 # ------------------------------------------------------------------- batches

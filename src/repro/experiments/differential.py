@@ -13,9 +13,9 @@ Oracles come in two severities:
   bound), energy debit reconciliation, message-ledger conservation
   (``sent == delivered + dropped + in_flight``), sharded-vs-sequential
   byte-identity, the shard degrade-instead-of-error guarantee, and
-  state-cached-vs-from-scratch byte-identity (the initial-state cache and
-  its snapshot serialization must never change a record).  Bug violations
-  fail the fuzzing session (exit 1).
+  clone-vs-from-scratch byte-identity (simulating on a clone of a scenario
+  group's shared build must never change a record).  Bug violations fail
+  the fuzzing session (exit 1).
 * ``claim`` — a statistical claim of the paper checked on individual seeds:
   *SR moves no more than AR when both converge*.  The paper proves this in
   expectation, not per seed, so per-seed counterexamples are *discoveries*,
@@ -51,7 +51,6 @@ from repro.experiments.orchestration import (
     execute_run,
 )
 from repro.experiments.persistence import RunCache, record_to_dict
-from repro.experiments.state_cache import StateCache
 from repro.experiments.registry import available_schemes
 from repro.experiments.scenario_files import Scenario, dump_scenario
 
@@ -100,13 +99,11 @@ class DifferentialContext:
         value here is a bug-severity violation.
     requested_shards:
         The shard count the sharded rerun asked for.
-    state_cache_trio:
-        ``(baseline, miss, hit)`` executions of the same spec: from scratch
-        with state caching disabled, then twice through a fresh bytes-mode
-        :class:`~repro.experiments.state_cache.StateCache` (the first run
-        builds and stores the initial state, the second restores it via the
-        ``WsnState.to_bytes``/``from_bytes`` round-trip).  Used by the
-        ``state-cache-identity`` oracle.
+    sequential:
+        From-scratch :func:`~repro.experiments.orchestration.execute_run` of
+        the first trial's SR spec.  The ``clone-identity`` oracle compares
+        it with that spec's record in ``records``, which the batch produced
+        on a clone of its scenario group's shared build.
     """
 
     scenario: Scenario
@@ -115,7 +112,7 @@ class DifferentialContext:
     sharded_pair: Optional[Tuple[RunRecord, RunRecord]] = None
     shard_error: Optional[str] = None
     requested_shards: int = 1
-    state_cache_trio: Optional[Tuple[RunRecord, RunRecord, RunRecord]] = None
+    sequential: Optional[RunRecord] = None
 
     def by_trial(self) -> List[Dict[str, RunRecord]]:
         """The records regrouped as one ``{scheme: record}`` map per trial."""
@@ -334,33 +331,31 @@ def check_shard_fallback(context: DifferentialContext) -> List[str]:
     ]
 
 
-def check_state_cache_identity(context: DifferentialContext) -> List[str]:
-    """State-cached runs must be byte-identical to from-scratch runs.
+def check_clone_identity(context: DifferentialContext) -> List[str]:
+    """Records simulated on a clone must be byte-identical to from-scratch runs.
 
-    Compares the canonical persisted form of the cache-off baseline against
-    the cache-miss run (simulates from the state it just built and stored)
-    and the cache-hit run (simulates from a ``from_bytes`` restore of the
-    stored snapshot).  Any divergence means the initial-state cache — or the
-    snapshot serialization underneath its bytes mode — changed the
-    simulation, which the determinism contract forbids on every scenario the
-    fuzzer can express.
+    The harness batch runs every scenario group on clones of one shared
+    build (executors and broker alike); its first-trial SR record is
+    compared in canonical persisted form against the from-scratch
+    ``sequential`` run of the same spec.  Schemes run in registry order, so
+    SR simulates after AR and SMART have mutated their clones of the same
+    build: a clone that leaks into the shared build shows up here.  Any
+    divergence means the clone — or the group reuse around it — changed the
+    simulation, which the determinism contract forbids on every scenario
+    the fuzzer can express.
     """
-    if context.state_cache_trio is None:
+    batch = context.by_trial()[0].get("SR") if context.records else None
+    if context.sequential is None or batch is None:
         return []
-    baseline, miss, hit = context.state_cache_trio
-    base = record_to_dict(dataclasses.replace(baseline, cached=False))
-    violations: List[str] = []
-    for label, record in (("cache-miss", miss), ("cache-hit", hit)):
-        candidate = record_to_dict(dataclasses.replace(record, cached=False))
-        if candidate != base:
-            differing = sorted(
-                key for key in base if base[key] != candidate.get(key)
-            )
-            violations.append(
-                f"{label} run diverged from the cache-off baseline in "
-                f"{', '.join(differing)}"
-            )
-    return violations
+    base = record_to_dict(dataclasses.replace(context.sequential, cached=False))
+    candidate = record_to_dict(dataclasses.replace(batch, cached=False))
+    differing = sorted(key for key in base if base[key] != candidate.get(key))
+    if not differing:
+        return []
+    return [
+        "batch SR record (group build + clone) diverged from the "
+        f"from-scratch run in {', '.join(differing)}"
+    ]
 
 
 #: The oracle registry, in report order.
@@ -371,7 +366,7 @@ ORACLES: Tuple[Oracle, ...] = (
     Oracle("message-conservation", "bug", check_message_conservation),
     Oracle("sharded-identity", "bug", check_sharded_identity),
     Oracle("shard-fallback", "bug", check_shard_fallback),
-    Oracle("state-cache-identity", "bug", check_state_cache_identity),
+    Oracle("clone-identity", "bug", check_clone_identity),
 )
 
 
@@ -433,15 +428,13 @@ def run_differential(
 
     sharded_pair: Optional[Tuple[RunRecord, RunRecord]] = None
     shard_error: Optional[str] = None
-    state_cache_trio: Optional[Tuple[RunRecord, RunRecord, RunRecord]] = None
+    sequential: Optional[RunRecord] = None
     sr_spec = next((spec for spec in specs if spec.scheme == "SR"), None)
     requested = scenario.shards if scenario.shards > 1 else 2
     if sr_spec is not None:
-        # From-scratch ground truth for both identity oracles: no state
-        # cache, so nothing under test can leak into the reference.
-        sequential = execute_run(
-            dataclasses.replace(sr_spec, shards=1), state_cache=None
-        )
+        # From-scratch ground truth for both identity oracles: its own
+        # build, so no shared state can leak into the reference.
+        sequential = execute_run(dataclasses.replace(sr_spec, shards=1))
         try:
             sharded = execute_run(
                 dataclasses.replace(
@@ -451,13 +444,6 @@ def run_differential(
             sharded_pair = (sequential, sharded)
         except Exception as error:  # noqa: BLE001 - the oracle reports it
             shard_error = f"{type(error).__name__}: {error}"
-        # State-cache rerun: a private bytes-mode cache so the first run
-        # exercises build+store and the second the from_bytes restore.
-        trio_spec = dataclasses.replace(sr_spec, shards=1)
-        private_cache = StateCache(capacity=1, mode="bytes")
-        miss = execute_run(trio_spec, state_cache=private_cache)
-        hit = execute_run(trio_spec, state_cache=private_cache)
-        state_cache_trio = (sequential, miss, hit)
 
     context = DifferentialContext(
         scenario=harness_scenario,
@@ -466,7 +452,7 @@ def run_differential(
         sharded_pair=sharded_pair,
         shard_error=shard_error,
         requested_shards=requested,
-        state_cache_trio=state_cache_trio,
+        sequential=sequential,
     )
     outcomes = tuple(oracle.evaluate(context) for oracle in oracles)
     return DifferentialReport(

@@ -167,8 +167,9 @@ def run_section5_experiment(
     runner, so the three figure scripts sharing this sweep can run it in
     parallel and reuse each other's persisted run records — and the serve
     layer can answer figure queries through its long-running broker.  Cold
-    cells additionally share one initial-state build per (N, trial) scenario
-    through the executors' state cache.
+    cells additionally share one initial-state build per (N, trial) scenario:
+    the executors and the broker run each scenario group on clones of one
+    build.
     """
     spare_values = list(spare_values) if spare_values is not None else list(PAPER_SPARE_VALUES)
     config = config if config is not None else SECTION5_CONFIG

@@ -106,8 +106,8 @@ def build_lifetime_specs(
     thinning, and battery-jitter seed), so all schemes start from identical
     networks and battery placements — the comparison is purely about how long
     each scheme keeps that network alive.  Schemes are innermost, so specs
-    sharing a scenario are consecutive and the initial-state cache builds
-    each trial's network exactly once for the whole scheme set.
+    sharing a scenario are consecutive and scenario reuse builds each
+    trial's network exactly once for the whole scheme set.
 
     ``shards`` is plumbed through for CLI uniformity; results are identical
     at any value (it never enters the cache key).  Note that energy-model

@@ -86,7 +86,7 @@ def build_comparison_specs(
     the comparison the paper performs.
 
     Schemes are innermost, so specs sharing a scenario are consecutive: the
-    executors' scenario grouping and the initial-state cache build each
+    scenario grouping of the executors and the broker builds each
     (N, trial) network exactly once for the whole scheme set.
     """
     if trials < 1:

@@ -19,7 +19,7 @@ draws both depend on it).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +42,8 @@ SPARE_CODE = ROLE_CODES[NodeRole.SPARE]
 UNASSIGNED_CODE = ROLE_CODES[NodeRole.UNASSIGNED]
 
 #: Version of the :meth:`NodeArrays.to_bytes` buffer layout.  Bump whenever a
-#: column is added, removed, or changes dtype — restore rejects foreign
-#: versions loudly instead of misinterpreting raw buffers.
+#: column is added, removed, or changes dtype, so snapshots taken under
+#: different layouts never compare equal.
 BUFFER_FORMAT_VERSION = 1
 
 #: Column layout of a snapshot: name, dtype, and per-row element count, in
@@ -63,13 +63,6 @@ _COLUMN_LAYOUT: Tuple[Tuple[str, np.dtype, int], ...] = (
 
 #: ``struct`` format of the snapshot header: layout version + row count.
 _HEADER_FORMAT = "<II"
-_HEADER_SIZE = struct.calcsize(_HEADER_FORMAT)
-
-
-def snapshot_nbytes(count: int) -> int:
-    """Exact byte size of a :meth:`NodeArrays.to_bytes` snapshot of ``count`` rows."""
-    row_bytes = sum(dtype.itemsize * width for _, dtype, width in _COLUMN_LAYOUT)
-    return _HEADER_SIZE + count * row_bytes
 
 
 class NodeArrays:
@@ -253,46 +246,12 @@ class NodeArrays:
         The layout (``_COLUMN_LAYOUT``) is versioned and fully determined by
         the row count, so a snapshot is just ``len(self)`` and the
         concatenated little-endian buffers — no pickle, no per-column
-        framing.  ``from_bytes(to_bytes())`` round-trips every column
-        bit-for-bit; this is the transport format of the initial-state cache
-        and the shared-memory worker handoff.
+        framing.  Equal snapshots mean bit-identical columns.
         """
         parts = [struct.pack(_HEADER_FORMAT, BUFFER_FORMAT_VERSION, len(self))]
         for name, dtype, _ in _COLUMN_LAYOUT:
             parts.append(np.ascontiguousarray(getattr(self, name), dtype=dtype).tobytes())
         return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, buffer: Union[bytes, memoryview]) -> "NodeArrays":
-        """Rebuild a store from a :meth:`to_bytes` snapshot.
-
-        ``buffer`` may be longer than the snapshot (shared-memory segments
-        round up to a page size); trailing bytes are ignored.  Columns are
-        copied out of the buffer, so the result owns writable arrays and the
-        buffer may be released immediately.
-        """
-        if len(buffer) < _HEADER_SIZE:
-            raise ValueError("snapshot buffer is too short for a header")
-        version, count = struct.unpack_from(_HEADER_FORMAT, buffer, 0)
-        if version != BUFFER_FORMAT_VERSION:
-            raise ValueError(
-                f"snapshot has buffer format version {version}, "
-                f"this build expects {BUFFER_FORMAT_VERSION}"
-            )
-        if len(buffer) < snapshot_nbytes(count):
-            raise ValueError(
-                f"snapshot buffer holds {len(buffer)} bytes, a {count}-row "
-                f"snapshot needs {snapshot_nbytes(count)}"
-            )
-        offset = _HEADER_SIZE
-        columns: Dict[str, np.ndarray] = {}
-        for name, dtype, width in _COLUMN_LAYOUT:
-            flat = np.frombuffer(
-                buffer, dtype=dtype, count=count * width, offset=offset
-            ).copy()
-            columns[name] = flat.reshape(count, width) if width > 1 else flat
-            offset += count * width * dtype.itemsize
-        return cls(**columns)
 
     # ------------------------------------------------------------------- copy
     def copy(self) -> "NodeArrays":

@@ -83,7 +83,6 @@ STATE_SNAPSHOT_VERSION = 1
 #: ``struct`` format of the state snapshot header: layout version, grid
 #: columns/rows, cell side, and the grid origin coordinates.
 _SNAPSHOT_HEADER_FORMAT = "<IIIddd"
-_SNAPSHOT_HEADER_SIZE = struct.calcsize(_SNAPSHOT_HEADER_FORMAT)
 
 
 def _validate_population(grid: VirtualGrid, arrays: NodeArrays) -> None:
@@ -652,13 +651,12 @@ class WsnState:
     def to_bytes(self) -> bytes:
         """Compact binary snapshot of the state: grid header + raw node columns.
 
-        Only the *data* travels — the grid geometry and the
-        :meth:`NodeArrays.to_bytes` buffer.  Behaviour objects (head policy,
-        movement model) are plain functions, not data; :meth:`from_bytes`
-        re-installs them from its arguments.  The incremental indices and the
+        Only the *data* is captured — the grid geometry and the
+        :meth:`NodeArrays.to_bytes` buffer.  The incremental indices and the
         head table are redundant with the arrays (membership/occupancy follow
-        from state+cell, heads from the role column) and are rebuilt on
-        restore, so a snapshot costs exactly one buffer concatenation.
+        from state+cell, heads from the role column), so two states with
+        equal snapshots are the same network.  This is the identity oracle
+        tests and benchmarks compare states with.
         """
         grid = self.grid
         origin = grid.origin
@@ -672,67 +670,6 @@ class WsnState:
             origin.y,
         )
         return header + self.arrays.to_bytes()
-
-    @classmethod
-    def from_bytes(
-        cls,
-        buffer: Union[bytes, memoryview],
-        head_policy: Optional[HeadElectionPolicy] = None,
-        movement_model: Optional[MovementModel] = None,
-    ) -> "WsnState":
-        """Rebuild a state from a :meth:`to_bytes` snapshot.
-
-        The restored state is equivalent to a :meth:`clone` of the snapshotted
-        one: arrays are copied out of the buffer, the incremental indices are
-        rebuilt from the arrays, and the head table is restored from the
-        persisted role column — *not* by a fresh election, which under a
-        non-default policy (e.g. ``highest_energy``) could pick different
-        heads than the snapshotted state held.  Handles are re-created lazily
-        and a neighbour index is not carried over, exactly like ``clone``.
-        ``buffer`` may be longer than the snapshot (shared-memory segments
-        round up); trailing bytes are ignored.
-        """
-        if len(buffer) < _SNAPSHOT_HEADER_SIZE:
-            raise ValueError("state snapshot buffer is too short for a header")
-        version, columns, rows, cell_size, origin_x, origin_y = struct.unpack_from(
-            _SNAPSHOT_HEADER_FORMAT, buffer, 0
-        )
-        if version != STATE_SNAPSHOT_VERSION:
-            raise ValueError(
-                f"state snapshot has version {version}, "
-                f"this build expects {STATE_SNAPSHOT_VERSION}"
-            )
-        grid = VirtualGrid(columns, rows, cell_size, origin=Point(origin_x, origin_y))
-        arrays = NodeArrays.from_bytes(memoryview(buffer)[_SNAPSHOT_HEADER_SIZE:])
-        twin = cls.__new__(cls)
-        twin.grid = grid
-        twin._head_policy = head_policy or lowest_id_policy
-        twin.movement_model = movement_model or MovementModel(grid)
-        twin.arrays = arrays
-        twin._handles = {}
-        twin._neighbor_index = None
-        twin._rebuild_indices_from_arrays()
-        twin._restore_heads_from_roles()
-        return twin
-
-    def _restore_heads_from_roles(self) -> None:
-        """Rebuild the head table from the persisted role column.
-
-        Every occupied cell of a consistent state holds exactly one enabled
-        node with the ``HEAD`` role (disabled nodes may keep a stale head
-        role; they are ignored), so the role column *is* the head assignment.
-        """
-        arrays = self.arrays
-        heads: Dict[GridCoord, Optional[int]] = dict.fromkeys(self.grid.coord_list())
-        head_rows = np.flatnonzero(
-            (arrays.state == ENABLED_CODE) & (arrays.role == HEAD_CODE)
-        )
-        coord_at = self.grid.coord_at
-        for flat, node_id in zip(
-            arrays.cell[head_rows].tolist(), arrays.node_ids[head_rows].tolist()
-        ):
-            heads[coord_at(flat)] = node_id
-        self._heads = heads
 
     # ------------------------------------------------------------ tile views
     #

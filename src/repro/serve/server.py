@@ -52,7 +52,12 @@ from repro.experiments.figures import (
     figure8_total_distance,
     run_section5_experiment,
 )
-from repro.experiments.orchestration import RunRecord, RunSpec, build_initial_state
+from repro.experiments.orchestration import (
+    RunRecord,
+    RunSpec,
+    build_initial_state,
+    simulate_from,
+)
 from repro.experiments.persistence import (
     RunCache,
     make_cache,
@@ -60,13 +65,11 @@ from repro.experiments.persistence import (
     run_key,
     spec_from_dict,
 )
-from repro.experiments.registry import available_schemes, make_controller
+from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scenario_files import tabulate_records
-from repro.network.channel import DEFAULT_CHANNEL, channel_to_dict, parse_channel_spec
-from repro.network.failures import compile_failure_schedule
-from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT, RoundBasedEngine
-from repro.sim.rng import derive_rng
+from repro.network.channel import channel_to_dict, parse_channel_spec
+from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8008
@@ -165,40 +168,14 @@ def _result_payload(result: ExperimentResult) -> Dict[str, object]:
 
 
 def execute_run_streaming(spec: RunSpec, emit) -> RunRecord:
-    """Execute ``spec`` sequentially, calling ``emit(round, sample)`` per round.
+    """Execute ``spec``, calling ``emit(round, sample)`` per round.
 
-    This mirrors :func:`~repro.experiments.orchestration.execute_run` on its
-    sequential path (the engine's ``round_observer`` hook carries the live
-    series out), so the returned record is byte-identical to what the broker
-    would produce for the same spec and can be published to the shared cache.
-    The initial state comes through :func:`build_initial_state`, so streamed
-    runs share the process-wide state cache with the broker workers.
+    This is :func:`~repro.experiments.orchestration.execute_run` with the
+    engine's ``round_observer`` hook carrying the live series out, so the
+    returned record is byte-identical to what the broker would produce for
+    the same spec and can be published to the shared cache.
     """
-    state = build_initial_state(spec)
-    controller = make_controller(spec.scheme, state)
-    rng = derive_rng(spec.seed, spec.controller_rng_label())
-    engine = RoundBasedEngine(
-        state,
-        controller,
-        rng,
-        max_rounds=spec.max_rounds,
-        failure_schedule=compile_failure_schedule(spec.failures) or None,
-        idle_round_limit=spec.idle_round_limit,
-        energy_model=spec.energy,
-        run_to_exhaustion=spec.run_to_exhaustion,
-        channel=spec.channel if spec.channel is not None else DEFAULT_CHANNEL,
-        channel_seed=spec.seed,
-    )
-    engine.round_observer = emit
-    result = engine.run()
-    return RunRecord(
-        spec=spec,
-        metrics=result.metrics,
-        rounds_executed=result.rounds_executed,
-        stalled=result.stalled,
-        exhausted=result.exhausted,
-        energy_series=tuple(result.series.energy),
-    )
+    return simulate_from(build_initial_state(spec), spec, round_observer=emit)
 
 
 class ExperimentServer(ThreadingHTTPServer):
@@ -368,9 +345,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 "records": len(cache),
                 **cache.stats.snapshot().as_dict(),
             }
-        state_cache_stats = self.server.broker.state_cache_stats()
-        if state_cache_stats is not None:
-            payload["state_cache"] = state_cache_stats.as_dict()
         self._send_json(200, payload)
 
     def _read_body(self) -> object:

@@ -22,7 +22,7 @@ def derive_rng(seed: int, label: str) -> random.Random:
     random numbers one stage consumes does not perturb the others.
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(int(digest[:8].hex(), 16))
 
 
 def spawn_seeds(seed: int, count: int, label: str = "trial") -> List[int]:

@@ -10,7 +10,11 @@ The contracts exercised here:
 * records produced through the broker are byte-identical to a plain
   :class:`SerialExecutor` run of the same specs;
 * ``execute_many`` collapses duplicate specs within one batch onto a single
-  execution while preserving spec order in the returned records.
+  execution while preserving spec order in the returned records;
+* a batch's consecutive same-scenario specs share one initial-state build,
+  a failing spec fails only its own handle, a ``BrokerQueueFull`` part-way
+  through a batch still queues what it admitted, and a failing store never
+  strands a waiter or kills a worker.
 """
 
 import json
@@ -229,3 +233,123 @@ def test_execute_many_routes_through_a_broker(tmp_path):
         again = execute_many(specs, broker=broker)
     assert canonical(records) == canonical(execute_many(specs, executor=SerialExecutor()))
     assert all(record.cached for record in again)
+
+
+# ------------------------------------------------------------ scenario reuse
+def grouped_specs():
+    """Sweep-shaped specs: two scenarios, schemes innermost, consecutive."""
+    return [
+        quick_spec(scheme=scheme, seed=seed, spare_surplus=surplus)
+        for surplus in (5, 15)
+        for seed in (1, 2)
+        for scheme in ("SR", "AR")
+    ]
+
+
+def counting_builds(monkeypatch):
+    """Record every initial-state build (the broker's and any per-spec one)."""
+    import repro.experiments.orchestration as orchestration
+
+    builds = []
+    real_build = orchestration.build_scenario_state
+
+    def counting_build(config):
+        builds.append(config.spare_surplus)
+        return real_build(config)
+
+    monkeypatch.setattr(orchestration, "build_scenario_state", counting_build)
+    return builds
+
+
+def test_broker_builds_each_scenario_group_once(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    specs = grouped_specs()
+    with ExperimentBroker(workers=2) as broker:
+        brokered = broker.run(specs)
+        stats = broker.stats()
+    assert sorted(builds) == [5, 15]
+    assert stats.executed == len(specs) and stats.pending == 0
+    assert canonical(brokered) == canonical(SerialExecutor().run_all(specs))
+
+
+def test_single_submits_are_groups_of_one(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    specs = grouped_specs()[:2]
+    with ExperimentBroker(workers=1) as broker:
+        records = [broker.submit(spec).result(timeout=30) for spec in specs]
+    assert builds == [5, 5]
+    assert canonical(records) == canonical([execute_run(spec) for spec in specs])
+
+
+def test_a_failing_spec_fails_only_its_own_handle(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    good_sr, good_ar = quick_spec(scheme="SR"), quick_spec(scheme="AR")
+    bad = quick_spec(scheme="no-such-scheme")
+    with ExperimentBroker(workers=1) as broker:
+        handles = broker.submit_many([good_sr, bad, good_ar])
+        with pytest.raises(KeyError, match="no-such-scheme"):
+            handles[1].result(timeout=30)
+        records = [handles[0].result(timeout=30), handles[2].result(timeout=30)]
+        stats = broker.stats()
+    assert builds == [10]  # one group, one build, despite the failure inside it
+    assert canonical(records) == canonical([execute_run(good_sr), execute_run(good_ar)])
+    assert (stats.executed, stats.failed, stats.in_flight) == (2, 1, 0)
+
+
+def test_a_failed_build_fails_the_whole_group(monkeypatch):
+    import repro.experiments.broker as broker_module
+
+    def broken_build(spec):
+        raise RuntimeError("deployment exploded")
+
+    monkeypatch.setattr(broker_module, "build_initial_state", broken_build)
+    specs = [quick_spec(scheme=scheme) for scheme in ("SR", "AR")]
+    with ExperimentBroker(workers=1) as broker:
+        handles = broker.submit_many(specs)
+        for handle in handles:
+            with pytest.raises(RuntimeError, match="deployment exploded"):
+                handle.result(timeout=30)
+        stats = broker.stats()
+        monkeypatch.undo()
+        assert broker.submit(specs[0]).result(timeout=30) is not None
+    assert (stats.failed, stats.in_flight) == (2, 0)
+
+
+def test_queue_full_mid_batch_still_queues_the_admitted_specs():
+    runner = GatedRunner()
+    broker = ExperimentBroker(workers=1, queue_limit=2, run_fn=runner)
+    try:
+        broker.submit(quick_spec(seed=1))
+        wait_until_draining(broker)  # the worker holds seed 1 at the gate
+        with pytest.raises(BrokerQueueFull):
+            broker.submit_many([quick_spec(seed=seed) for seed in (2, 3, 4)])
+        stats = broker.stats()
+        assert (stats.pending, stats.in_flight, stats.rejected) == (2, 3, 1)
+        runner.gate.set()
+        deadline = time.monotonic() + 30
+        while broker.stats().in_flight and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert broker.stats().in_flight == 0, "an admitted spec was never queued"
+    finally:
+        runner.gate.set()
+        broker.shutdown(wait=True)
+    assert sorted(spec.seed for spec in runner.calls) == [1, 2, 3]
+    assert broker.stats().executed == 3
+
+
+class FailingStore(RunCache):
+    """A run cache whose writes always fail (a full disk, a locked store)."""
+
+    def put(self, record):
+        raise OSError("store is read-only")
+
+
+def test_a_failing_store_does_not_kill_the_worker(tmp_path):
+    with ExperimentBroker(cache=FailingStore(tmp_path), workers=1) as broker:
+        spec = quick_spec()
+        record = broker.submit(spec).result(timeout=30)
+        assert canonical([record]) == canonical([execute_run(spec)])
+        assert broker.stats().in_flight == 0
+        # The worker is still draining: a later submit executes too.
+        broker.submit(quick_spec(seed=8)).result(timeout=30)
+        assert broker.stats().executed == 2

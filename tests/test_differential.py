@@ -5,7 +5,8 @@ Two layers:
 * **Known-violation fixtures** — every oracle gets a hand-doctored
   :class:`DifferentialContext` (miscounted moves, a non-conserved message
   ledger, a rising energy series, a divergent sharded pair, a swallowed
-  shard error) it must flag, plus a clean context it must pass.  An oracle
+  shard error, a batch record that diverged from its from-scratch run) it
+  must flag, plus a clean context it must pass.  An oracle
   without a fixture proving it fires is dead weight.
 * **Harness integration** — ``run_differential`` over a real scenario is
   clean of bug-severity violations, deliberately infeasible shard requests
@@ -20,6 +21,7 @@ import pytest
 from repro.experiments.differential import (
     ORACLES,
     DifferentialContext,
+    check_clone_identity,
     check_energy_reconciliation,
     check_message_conservation,
     check_shard_fallback,
@@ -304,6 +306,40 @@ class TestShardedIdentityOracle:
             sharded_pair=(dataclasses.replace(sequential, cached=True), sharded),
         )
         assert check_sharded_identity(doctored) == []
+
+
+class TestCloneIdentityOracle:
+    def test_clean_context_passes(self, clean_report):
+        assert check_clone_identity(clean_report.context) == []
+
+    def test_compares_the_batch_sr_record_with_a_from_scratch_run(self, clean_report):
+        context = clean_report.context
+        assert context.sequential is not None
+        assert context.sequential.spec == get_record(context, "SR").spec
+
+    def test_missing_sequential_passes(self, clean_report):
+        doctored = dataclasses.replace(clean_report.context, sequential=None)
+        assert check_clone_identity(doctored) == []
+
+    def test_flags_a_divergent_batch_record(self, clean_report):
+        context = clean_report.context
+        batch = get_record(context, "SR")
+        doctored = swap_record(
+            context,
+            "SR",
+            doctor_record(batch, total_distance=batch.metrics.total_distance + 0.5),
+        )
+        violations = check_clone_identity(doctored)
+        assert len(violations) == 1
+        assert "from-scratch run" in violations[0]
+        assert "metrics" in violations[0]
+
+    def test_cached_flag_does_not_break_identity(self, clean_report):
+        context = clean_report.context
+        doctored = swap_record(
+            context, "SR", dataclasses.replace(get_record(context, "SR"), cached=True)
+        )
+        assert check_clone_identity(doctored) == []
 
 
 class TestShardFallbackOracle:

@@ -328,8 +328,8 @@ class TestCachedSweeps:
         assert cache.hits == 1 and cache.misses == 1
 
 
-class TestStateCacheOrchestration:
-    """The cold-path machinery: scenario grouping, warm pools, shared memory."""
+class TestScenarioReuse:
+    """The cold-path machinery: scenario grouping, clones, warm pools."""
 
     def test_group_by_scenario_groups_consecutive_runs(self):
         from repro.experiments.orchestration import _group_by_scenario
@@ -347,56 +347,39 @@ class TestStateCacheOrchestration:
         assert [spec for group in groups for spec in group] == specs
         assert _group_by_scenario([]) == []
 
-    def test_build_initial_state_consults_the_cache(self):
-        from repro.experiments.orchestration import build_initial_state
-        from repro.experiments.state_cache import StateCache
-
-        cache = StateCache()
-        spec = quick_spec()
-        build_initial_state(spec, state_cache=cache)
-        build_initial_state(spec, state_cache=cache)
-        stats = cache.stats()
-        assert (stats.misses, stats.hits) == (1, 1)
-
     def test_serial_executor_builds_each_scenario_once(self, monkeypatch):
-        from repro.experiments import state_cache as state_cache_module
-        from repro.experiments.state_cache import StateCache
+        from repro.experiments import orchestration
 
         builds = []
-        real_build = state_cache_module.build_scenario_state
+        real_build = orchestration.build_scenario_state
 
         def counting_build(config):
             builds.append(config.spare_surplus)
             return real_build(config)
 
-        monkeypatch.setattr(
-            state_cache_module, "build_scenario_state", counting_build
-        )
+        monkeypatch.setattr(orchestration, "build_scenario_state", counting_build)
         specs = [
             quick_spec(scheme=scheme, seed=seed, spare_surplus=surplus)
             for surplus in (5, 15)
             for seed in (1, 2)
             for scheme in ("SR", "AR")
         ]
-        executor = SerialExecutor(state_cache=StateCache())
+        executor = SerialExecutor()
         records = executor.run_all(specs)
         assert len(records) == len(specs)
-        # 8 specs over 2 distinct scenarios per surplus... scenario ==
-        # (surplus) here because the seed lives in the spec, not the config.
-        assert sorted(builds) == [5, 15]
+        # 8 specs over one scenario per surplus: the seed lives in the spec,
+        # not the config, so each surplus is one consecutive group.
+        assert builds == [5, 15]
 
-    def test_serial_executor_without_cache_matches_cached_records(self):
-        from repro.experiments.state_cache import StateCache
-
+    def test_serial_executor_matches_spec_by_spec_execution(self):
         specs = [
             quick_spec(scheme=scheme, seed=seed)
             for seed in (1, 2)
             for scheme in ("SR", "AR")
         ]
-        plain = SerialExecutor(state_cache=None).run_all(specs)
-        cached = SerialExecutor(state_cache=StateCache(mode="bytes")).run_all(specs)
-        assert [record_to_dict(a) for a in plain] == [
-            record_to_dict(b) for b in cached
+        grouped = SerialExecutor().run_all(specs)
+        assert [record_to_dict(execute_run(spec)) for spec in specs] == [
+            record_to_dict(record) for record in grouped
         ]
 
     def test_parallel_pool_persists_across_run_all_calls(self):
@@ -430,51 +413,24 @@ class TestStateCacheOrchestration:
             finally:
                 unregister_scheme("SR-pool-test")
 
-    def test_parallel_shared_memory_handoff_matches_serial(self):
-        """Parent-warm scenarios ship over shm and stay byte-identical."""
-        from repro.experiments.state_cache import StateCache
+    def test_group_clones_leave_the_shared_build_untouched(self, monkeypatch):
+        """Every spec of a group simulates on its own clone of one build."""
+        from repro.experiments import orchestration
 
-        specs = [
-            quick_spec(scheme=scheme, seed=seed)
-            for seed in (1, 2)
-            for scheme in ("SR", "AR")
+        built = []
+        real_build = orchestration.build_initial_state
+
+        def recording_build(spec):
+            state = real_build(spec)
+            built.append((state, state.to_bytes()))
+            return state
+
+        monkeypatch.setattr(orchestration, "build_initial_state", recording_build)
+        specs = [quick_spec(scheme=scheme, seed=3) for scheme in ("SR", "AR", "SR")]
+        records = orchestration._run_group(specs)
+        assert len(built) == 1
+        state, pristine = built[0]
+        assert state.to_bytes() == pristine  # simulations ran on clones
+        assert [record_to_dict(r) for r in records] == [
+            record_to_dict(execute_run(spec)) for spec in specs
         ]
-        baseline = SerialExecutor(state_cache=None).run_all(specs)
-        cache = StateCache()
-        cache.state_for(specs[0].scenario)  # pre-warm: forces the shm path
-        with ParallelExecutor(2, state_cache=cache) as executor:
-            parallel = executor.run_all(specs)
-        assert [record_to_dict(a) for a in baseline] == [
-            record_to_dict(b) for b in parallel
-        ]
-
-    def test_export_shared_states_ships_only_warm_scenarios(self):
-        from repro.experiments.orchestration import _group_by_scenario
-        from repro.experiments.state_cache import StateCache, scenario_key
-
-        warm = quick_spec(spare_surplus=5)
-        cold = quick_spec(spare_surplus=15)
-        cache = StateCache()
-        cache.state_for(warm.scenario)
-        executor = ParallelExecutor(2, state_cache=cache)
-        groups = _group_by_scenario([warm, cold])
-        transports, segments = executor._export_shared_states(groups)
-        try:
-            assert set(transports) == {scenario_key(warm.scenario)}
-            assert len(segments) == 1
-            segment_name, inline = transports[scenario_key(warm.scenario)]
-            assert segment_name is not None and inline is None
-        finally:
-            executor._release_segments(segments)
-
-    def test_worker_group_execution_restores_from_inline_snapshot(self):
-        """The pickle fallback path: no shm segment, snapshot ships inline."""
-        from repro.experiments.orchestration import _execute_spec_group
-        from repro.sim.scenario import build_scenario_state
-
-        spec = quick_spec()
-        snapshot = build_scenario_state(spec.scenario).to_bytes()
-        records = _execute_spec_group(((spec,), None, snapshot, False))
-        assert record_to_dict(records[0]) == record_to_dict(
-            execute_run(spec, state_cache=None)
-        )

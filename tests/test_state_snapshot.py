@@ -1,32 +1,28 @@
-"""Property tests for the binary state snapshots (``to_bytes``/``from_bytes``).
+"""Property tests for state copies, judged by the ``to_bytes`` snapshot.
 
-The snapshot is the storage format of the bytes-mode initial-state cache and
-the payload the parallel executor ships to workers over shared memory, so
-its round-trip must be *exact*: every :class:`NodeArrays` column (values and
-dtypes), the grid geometry, the head table, and the incremental indices of
-the restored state must match the snapshotted one.  These tests drive the
-round-trip over seeded random scenarios and mutation histories — including
+Scenario reuse runs every spec of a scenario group on a
+:meth:`WsnState.clone` of one shared build, so the copy must be *exact*:
+every :class:`NodeArrays` column (values and dtypes), the grid geometry,
+the head table, and the incremental indices of the copy must match the
+original, and the copy must be independent of it.  These tests drive the
+copy over seeded random scenarios and mutation histories — including
 states with disabled nodes, stale head roles on disabled rows, energy
-jitter, and non-default head policies — and hold the restored state to
-``check_invariants()`` (the index oracle) plus a re-attached
+jitter, and non-default head policies — and hold it to the
+:meth:`WsnState.to_bytes` identity oracle, ``check_invariants()`` (the
+index oracle), and a re-attached
 :class:`~repro.network.adjacency.NeighborIndex` checked for consistency.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 
 import numpy as np
 import pytest
 
-from repro.network.node_arrays import (
-    BUFFER_FORMAT_VERSION,
-    NodeArrays,
-    snapshot_nbytes,
-)
+from repro.network.node_arrays import NodeArrays
 from repro.network.radio import UnitDiskRadio
-from repro.network.state import STATE_SNAPSHOT_VERSION, WsnState
+from repro.network.state import WsnState
 from repro.sim.scenario import HEAD_POLICIES, ScenarioConfig, build_scenario_state
 
 COLUMNS = (
@@ -41,7 +37,7 @@ COLUMNS = (
     "move_count",
 )
 
-#: Seeded round-trip scenarios (kept moderate: each builds a full state).
+#: Seeded copy scenarios (kept moderate: each builds a full state).
 SEED_COUNT = 25
 
 
@@ -75,7 +71,7 @@ def random_config(rng: random.Random) -> ScenarioConfig:
 
 
 def mutate(state: WsnState, rng: random.Random, operations: int) -> None:
-    """A random mutation history so snapshots cover non-pristine states."""
+    """A random mutation history so copies cover non-pristine states."""
     for _ in range(operations):
         roll = rng.random()
         enabled = state.enabled_nodes()
@@ -99,15 +95,15 @@ def mutate(state: WsnState, rng: random.Random, operations: int) -> None:
 
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_state_round_trip_over_random_scenarios(seed):
-    """Snapshot -> restore is exact for random scenarios and histories."""
+    """A clone is exact and independent for random scenarios and histories."""
     rng = random.Random(seed)
     config = random_config(rng)
     state = build_scenario_state(config)
-    if seed % 2:  # half the seeds snapshot a mutated, mid-simulation state
+    if seed % 2:  # half the seeds copy a mutated, mid-simulation state
         mutate(state, rng, operations=rng.randint(1, 25))
-    restored = WsnState.from_bytes(
-        state.to_bytes(), head_policy=config.head_policy_fn
-    )
+    snapshot = state.to_bytes()
+    restored = state.clone()
+    assert restored.to_bytes() == snapshot
     assert_arrays_identical(state.arrays, restored.arrays)
     assert restored.grid.columns == state.grid.columns
     assert restored.grid.rows == state.grid.rows
@@ -117,6 +113,9 @@ def test_state_round_trip_over_random_scenarios(seed):
     assert restored.spare_count == state.spare_count
     assert restored.vacant_cells() == state.vacant_cells()
     restored.check_invariants()
+    mutate(restored, rng, operations=10)
+    assert state.to_bytes() == snapshot  # the original is untouched
+    state.check_invariants()
 
 
 @pytest.mark.parametrize("seed", range(0, SEED_COUNT, 5))
@@ -125,23 +124,20 @@ def test_restored_state_reattaches_a_consistent_neighbor_index(seed):
     config = random_config(rng)
     state = build_scenario_state(config)
     mutate(state, rng, operations=10)
-    restored = WsnState.from_bytes(
-        state.to_bytes(), head_policy=config.head_policy_fn
-    )
-    radio = UnitDiskRadio(config.communication_range)
-    index = restored.attach_neighbor_index(radio)
+    reference = state.attach_neighbor_index(UnitDiskRadio(config.communication_range))
+    restored = state.clone()
+    assert restored.neighbor_index is None  # a clone never shares the index
+    index = restored.attach_neighbor_index(UnitDiskRadio(config.communication_range))
     index.check_consistency()
-    reference = state.attach_neighbor_index(radio)
     assert index.as_dict() == reference.as_dict()
 
 
 def test_restored_heads_are_not_re_elected():
-    """Jittered energy + highest_energy policy: restore must keep the roles.
+    """Jittered energy + highest_energy policy: a clone must keep the roles.
 
     Energy jitter installs *after* head election, so a fresh election on the
     jittered energies could crown different heads than the built state
-    holds.  The snapshot restores heads from the persisted role column,
-    which sidesteps the trap entirely.
+    holds.  A clone copies the head table instead of re-electing.
     """
     config = ScenarioConfig(
         columns=5,
@@ -153,66 +149,6 @@ def test_restored_heads_are_not_re_elected():
         initial_energy_jitter=0.5,
     )
     state = build_scenario_state(config)
-    restored = WsnState.from_bytes(
-        state.to_bytes(), head_policy=config.head_policy_fn
-    )
+    restored = state.clone()
     assert restored.heads() == state.heads()
-
-
-def test_snapshot_tolerates_trailing_bytes():
-    """Shared-memory segments round up; trailing bytes must be ignored."""
-    state = build_scenario_state(
-        ScenarioConfig(columns=4, rows=4, deployed_count=48, seed=3)
-    )
-    padded = state.to_bytes() + b"\x00" * 4096
-    restored = WsnState.from_bytes(padded)
-    assert_arrays_identical(state.arrays, restored.arrays)
-
-
-def test_state_snapshot_rejects_foreign_versions():
-    state = build_scenario_state(
-        ScenarioConfig(columns=4, rows=4, deployed_count=48, seed=3)
-    )
-    snapshot = bytearray(state.to_bytes())
-    struct.pack_into("<I", snapshot, 0, STATE_SNAPSHOT_VERSION + 1)
-    with pytest.raises(ValueError, match="version"):
-        WsnState.from_bytes(bytes(snapshot))
-    with pytest.raises(ValueError, match="too short"):
-        WsnState.from_bytes(b"\x01")
-
-
-# ------------------------------------------------------------- NodeArrays
-@pytest.mark.parametrize("seed", range(0, SEED_COUNT, 5))
-def test_node_arrays_round_trip(seed):
-    rng = random.Random(seed)
-    state = build_scenario_state(random_config(rng))
-    mutate(state, rng, operations=8)
-    arrays = state.arrays
-    buffer = arrays.to_bytes()
-    assert len(buffer) == snapshot_nbytes(len(arrays))
-    assert_arrays_identical(arrays, NodeArrays.from_bytes(buffer))
-
-
-def test_node_arrays_restore_is_an_independent_copy():
-    state = build_scenario_state(
-        ScenarioConfig(columns=4, rows=4, deployed_count=48, seed=3)
-    )
-    arrays = state.arrays
-    restored = NodeArrays.from_bytes(arrays.to_bytes())
-    restored.energy[:] = -1.0
-    assert not np.any(arrays.energy == -1.0)
-
-
-def test_node_arrays_rejects_foreign_versions_and_short_buffers():
-    state = build_scenario_state(
-        ScenarioConfig(columns=4, rows=4, deployed_count=48, seed=3)
-    )
-    buffer = bytearray(state.arrays.to_bytes())
-    struct.pack_into("<I", buffer, 0, BUFFER_FORMAT_VERSION + 1)
-    with pytest.raises(ValueError, match="version"):
-        NodeArrays.from_bytes(bytes(buffer))
-    with pytest.raises(ValueError, match="too short"):
-        NodeArrays.from_bytes(b"")
-    truncated = state.arrays.to_bytes()[:-8]
-    with pytest.raises(ValueError):
-        NodeArrays.from_bytes(truncated)
+    assert restored.to_bytes() == state.to_bytes()
