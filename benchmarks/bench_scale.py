@@ -19,14 +19,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # CI smoke: guards only
 
 The full run writes ``BENCH_scale.json`` at the repository root, seeding the
-repo's perf trajectory.  Since the sharded-execution PR it also benchmarks
-:class:`~repro.sim.sharded.ShardedEngine` against the sequential engine on
-the 128x128 tier (``shard_speedup``): every sharded run is checked
-byte-identical to the sequential reference, and the speedup is reported both
-as measured wall clock and as the modeled critical path
-(``sequential wall / sum of per-round critical paths``) — the figure a host
-with at least ``shards`` cores would realise, which a core-starved CI runner
-cannot (``cores_available`` records what this host had).
+repo's perf trajectory.
 
 The ``initial_state_build`` section times the Section-5 initial-state build
 (deploy, thin to ``N + m*n`` enabled nodes, elect heads) on a 16x16 grid
@@ -41,12 +34,10 @@ The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
 batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
 the 256x256 tier, the build at >= 3x the per-victim reference with
-identical ``to_bytes()``, sharded/sequential byte-identity (unconditional),
-and the 4-way modeled-speedup floor (enforced only on hosts with >= 4
-cores) — and
-exits non-zero when any guard trips, so an accidental O(m*n) scan, a
-de-vectorized hot loop, or a shard-protocol divergence fails CI long before
-it would be felt on the 512x512 workload.
+identical ``to_bytes()``, and the perfect-channel overhead — and exits
+non-zero when any guard trips, so an accidental O(m*n) scan or a
+de-vectorized hot loop fails CI long before it would be felt on the 512x512
+workload.
 """
 
 from __future__ import annotations
@@ -76,7 +67,6 @@ from repro.network.state import WsnState
 from repro.sim.engine import RoundBasedEngine
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
-from repro.sim.sharded import ShardedEngine
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
 
 from reference_build import reference_state
@@ -121,19 +111,6 @@ INCREMENTAL_UPDATES = 200
 #: index materialises per-row neighbour arrays, which is not worth the build
 #: time on the top tiers.
 INCREMENTAL_MAX_NODES = 100_000
-#: The sharded-execution benchmark tier: big enough that per-round tile work
-#: dominates the driver's serial decide loop (49k nodes, ~6k holes).
-SHARD_GRID_SHAPE = (128, 128)
-#: Shard counts benchmarked by the full run (1 is the sequential baseline).
-SHARD_COUNTS = (1, 2, 4, 8)
-#: The shard workload drip-feeds this many rounds x holes-per-round of
-#: scheduled cell kills — a sustained recovery load, not a one-shot burst.
-SHARD_ROUNDS = 12
-SHARD_HOLES_PER_ROUND = 512
-#: Smoke-mode guard: floor on the 4-way modeled speedup.  Only enforced on
-#: hosts with >= 4 cores — below that the per-phase timings that feed the
-#: model share one oversubscribed core and the floor would guard noise.
-SHARD_SPEEDUP_LIMIT_4WAY = 2.0
 #: Initial-state build tiers, as (columns, rows, deployed, spare surplus N):
 #: the paper's Section-5 workload, and a 128x128 grid at 3 nodes per cell
 #: with the same share of spares per cell (N = 55 * 64).
@@ -185,18 +162,13 @@ class ScheduledCellKill:
 
     The victim cells are sampled *before* the engine is timed, so the drip
     feed itself adds no grid-size-dependent work to the measured rounds.
-    Victim selection is a pure function of the state (no rng), so the model
-    is shard-safe: every tile replica disables exactly the victims visible
-    inside its coverage (masked rows are skipped).
     """
-
-    shard_safe = True
 
     def __init__(self, node_ids):
         self.node_ids = list(node_ids)
 
     def apply(self, state, rng):
-        # ``disable_nodes`` skips ids that are masked or already disabled.
+        # ``disable_nodes`` skips ids that are already disabled.
         return state.disable_nodes(self.node_ids)
 
 
@@ -408,131 +380,6 @@ def bench_incremental_adjacency(state: WsnState, updates: int = INCREMENTAL_UPDA
         "per_update_seconds": round(per_update, 9),
         "updates": updates,
         "updates_per_rebuild": round(full_build / per_update, 1) if per_update else 0.0,
-    }
-
-
-def _run_shard_workload(
-    base: WsnState, schedule: dict, seed: int, shards: int
-) -> tuple:
-    """One timed recovery run of the shard workload; returns (result, wall, engine).
-
-    ``shards == 1`` runs the plain sequential engine — the baseline the
-    sharded runs are compared (and byte-checked) against.  Sharded runs use
-    the inline backend so the timing telemetry measures tile busy-seconds
-    without fork/pipe overhead; determinism is backend-independent.
-    """
-    state = base.clone()
-    controller = make_controller("SR", state)
-    rng = derive_rng(seed, "controller")
-    if shards == 1:
-        engine = RoundBasedEngine(
-            state,
-            controller,
-            rng,
-            failure_schedule=schedule,
-            channel=DEFAULT_CHANNEL,
-        )
-    else:
-        engine = ShardedEngine(
-            state,
-            controller,
-            rng,
-            shards=shards,
-            mode="inline",
-            failure_schedule=schedule,
-            channel=DEFAULT_CHANNEL,
-        )
-    start = time.perf_counter()
-    result = engine.run()
-    return result, time.perf_counter() - start, engine
-
-
-def bench_shard_speedup(seed: int, repeats: int, counts=SHARD_COUNTS) -> dict:
-    """Sharded vs sequential execution on the 128x128 tier: identity + speedup.
-
-    Every sharded run's :class:`~repro.sim.engine.SimulationResult` is
-    compared ``==`` against the sequential reference (metrics, series, move
-    records, message traffic — the byte-identity contract).  Speedup is
-    reported two ways: measured wall clock, which on a host with fewer cores
-    than shards mostly measures oversubscription, and the modeled critical
-    path — sequential wall divided by the sum of per-round critical paths
-    (``max tile scan + serial decide + max(bookkeeping, slowest tile
-    apply+scan)``) that the engine's timing telemetry accumulates.  The
-    sequential and sharded runs of each repeat execute back to back as a
-    pair with GC disabled, and the published figures are per-pair medians,
-    so machine drift cannot favour one side.
-    """
-    columns, rows = SHARD_GRID_SHAPE
-    base = build_base_state(columns, rows, seed)
-    schedule = build_failure_schedule(
-        base, SHARD_ROUNDS, SHARD_HOLES_PER_ROUND, derive_rng(seed, "holes")
-    )
-    reference, _, _ = _run_shard_workload(base, schedule, seed, 1)
-    sharded_counts = [count for count in counts if count > 1]
-    walls = {count: [] for count in counts}
-    walls.setdefault(1, [])
-    modeled = {count: [] for count in sharded_counts}
-    identical = {count: True for count in sharded_counts}
-    effective = {1: 1}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for repeat in range(max(repeats, 3)):
-            gc.collect()
-            _, seq_wall, _ = _run_shard_workload(base, schedule, seed, 1)
-            walls[1].append(seq_wall)
-            for count in sharded_counts:
-                result, wall, engine = _run_shard_workload(
-                    base, schedule, seed, count
-                )
-                identical[count] = identical[count] and result == reference
-                effective[count] = engine.shards_effective
-                walls[count].append(wall)
-                critical = engine.timing["critical_seconds"]
-                modeled[count].append(seq_wall / critical if critical > 0 else 0.0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    entries = []
-    for count in counts:
-        entry = {
-            "shards": count,
-            "shards_effective": effective[count],
-            "wall_seconds_median": round(statistics.median(walls[count]), 6),
-        }
-        if count == 1:
-            entry["identical"] = True
-            entry["modeled_speedup_median"] = 1.0
-            entry["modeled_speedup_max"] = 1.0
-        else:
-            entry["identical"] = identical[count]
-            entry["modeled_speedup_median"] = round(
-                statistics.median(modeled[count]), 3
-            )
-            entry["modeled_speedup_max"] = round(max(modeled[count]), 3)
-        entries.append(entry)
-        print(
-            f"shards {count}  (effective {entry['shards_effective']})  "
-            f"identical {entry['identical']!s:<5}  "
-            f"wall {entry['wall_seconds_median']:7.3f} s  "
-            f"modeled speedup {entry['modeled_speedup_median']:5.2f}x "
-            f"(max {entry['modeled_speedup_max']:5.2f}x)"
-        )
-    return {
-        "grid": f"{columns}x{rows}",
-        "deployed_nodes": base.node_count,
-        "failure_rounds": SHARD_ROUNDS,
-        "holes_per_round": SHARD_HOLES_PER_ROUND,
-        "rounds_executed": reference.rounds_executed,
-        "total_moves": reference.metrics.total_moves,
-        "mode": "inline",
-        "cores_available": os.cpu_count(),
-        "note": (
-            "wall_seconds on a host with fewer cores than shards measures "
-            "oversubscription, not the protocol; modeled_speedup is the "
-            "critical-path figure a host with >= shards cores would realise"
-        ),
-        "counts": entries,
     }
 
 
@@ -771,35 +618,6 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
             f"the channel-less legacy path (limit {CHANNEL_OVERHEAD_LIMIT}x) — the "
             "messaging subsystem grew a per-round cost not explained by traffic"
         )
-
-    shard = bench_shard_speedup(seed, 3, counts=(1, 4))
-    four_way = next(entry for entry in shard["counts"] if entry["shards"] == 4)
-    if not four_way["identical"]:
-        failures.append(
-            "4-way sharded execution diverged from the sequential engine — the "
-            "byte-identity contract of ShardedEngine is broken"
-        )
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        print(
-            f"shard speedup guard: 4-way modeled "
-            f"{four_way['modeled_speedup_median']:.2f}x "
-            f"(limit {SHARD_SPEEDUP_LIMIT_4WAY}x, {cores} cores)"
-        )
-        if four_way["modeled_speedup_median"] < SHARD_SPEEDUP_LIMIT_4WAY:
-            failures.append(
-                f"4-way sharded modeled speedup is "
-                f"{four_way['modeled_speedup_median']:.2f}x "
-                f"(floor {SHARD_SPEEDUP_LIMIT_4WAY}x) — the critical path "
-                "re-absorbed tile-side work"
-            )
-    else:
-        print(
-            f"shard speedup guard: SKIPPED — host has {cores} core(s), the "
-            f"per-phase timings behind the model need >= 4 to be trustworthy "
-            f"(measured 4-way modeled "
-            f"{four_way['modeled_speedup_median']:.2f}x, identity still guarded)"
-        )
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -825,14 +643,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
     )
     build = bench_initial_state_build(seed, repeats)
     per_scheme = bench_per_scheme_cost(seed)
-    print("\nshard speedup (sequential wall vs modeled critical path):")
-    shard = bench_shard_speedup(seed, min(repeats, 5))
     failures = build_failures(build)
-    if not all(entry["identical"] for entry in shard["counts"]):
-        failures.append(
-            "a sharded run diverged from the sequential engine — the "
-            "byte-identity contract of ShardedEngine is broken"
-        )
     if include_large:
         large = grids[-1]
         if large["deploy"]["seconds"] > DEPLOY_SECONDS_LIMIT_786K:
@@ -860,11 +671,8 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "throughput of the batch adjacency build), initial_state_build "
             "times the survivors-only Section-5 build against the per-victim "
             "disable_node reference (speedup >= 3x, identical to_bytes()), "
-            "per_scheme_cost reports unguarded ms per spec of every scheme "
-            "on the paper's 16x16 workload, "
-            "and shard_speedup "
-            "compares ShardedEngine against the sequential engine on the "
-            "128x128 tier (byte-identity checked on every run)"
+            "and per_scheme_cost reports unguarded ms per spec of every "
+            "scheme on the paper's 16x16 workload"
         ),
         "scheme": "SR",
         "nodes_per_cell": NODES_PER_CELL,
@@ -879,7 +687,6 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
         "channel_overhead": channel,
         "initial_state_build": build,
         "per_scheme_cost": per_scheme,
-        "shard_speedup": shard,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")
     largest_label = f"{shapes[-1][0]}x{shapes[-1][1]}"

@@ -11,11 +11,10 @@ Oracles come in two severities:
   the simulator is wrong: Theorem-2 movement bounds
   (:func:`repro.core.analysis.expected_movements` context, hard per-process
   bound), energy debit reconciliation, message-ledger conservation
-  (``sent == delivered + dropped + in_flight``), sharded-vs-sequential
-  byte-identity, the shard degrade-instead-of-error guarantee, and
-  clone-vs-from-scratch byte-identity (simulating on a clone of a scenario
-  group's shared build must never change a record).  Bug violations fail
-  the fuzzing session (exit 1).
+  (``sent == delivered + dropped + in_flight``), and clone-vs-from-scratch
+  byte-identity (simulating on a clone of a scenario group's shared build
+  must never change a record).  Bug violations fail the fuzzing session
+  (exit 1).
 * ``claim`` — a statistical claim of the paper checked on individual seeds:
   *SR moves no more than AR when both converge*.  The paper proves this in
   expectation, not per seed, so per-seed counterexamples are *discoveries*,
@@ -89,16 +88,6 @@ class DifferentialContext:
         One record per ``(trial, scheme)`` in
         :meth:`~repro.experiments.scenario_files.Scenario.run_specs` order
         (trials outermost, schemes innermost).
-    sharded_pair:
-        ``(sequential, sharded)`` executions of the first trial's SR spec,
-        used by the byte-identity oracle; ``None`` when the sharded rerun
-        raised (see ``shard_error``).
-    shard_error:
-        The error message of a failed sharded rerun.  The degrade guarantee
-        says infeasible or ineligible shard requests must *fall back*, so any
-        value here is a bug-severity violation.
-    requested_shards:
-        The shard count the sharded rerun asked for.
     sequential:
         From-scratch :func:`~repro.experiments.orchestration.execute_run` of
         the first trial's SR spec.  The ``clone-identity`` oracle compares
@@ -109,9 +98,6 @@ class DifferentialContext:
     scenario: Scenario
     schemes: Tuple[str, ...]
     records: Tuple[RunRecord, ...]
-    sharded_pair: Optional[Tuple[RunRecord, RunRecord]] = None
-    shard_error: Optional[str] = None
-    requested_shards: int = 1
     sequential: Optional[RunRecord] = None
 
     def by_trial(self) -> List[Dict[str, RunRecord]]:
@@ -280,57 +266,6 @@ def check_message_conservation(context: DifferentialContext) -> List[str]:
     return violations
 
 
-def check_sharded_identity(context: DifferentialContext) -> List[str]:
-    """Sharded execution must be byte-identical to sequential execution.
-
-    Compares the canonical persisted form
-    (:func:`~repro.experiments.persistence.record_to_dict`) of the
-    sequential and sharded executions of the same spec — covering metrics,
-    rounds, stall/exhaustion flags, and the energy series.  Ineligible or
-    infeasible shard requests fall back to the sequential engine, which
-    satisfies identity by construction; a mismatch therefore always means
-    the sharded fast path diverged.
-    """
-    if context.sharded_pair is None:
-        return []
-    sequential, sharded = context.sharded_pair
-    left = record_to_dict(dataclasses.replace(sequential, cached=False))
-    right = record_to_dict(dataclasses.replace(sharded, cached=False))
-    if left == right:
-        return []
-    differing = sorted(
-        key for key in left if left[key] != right.get(key)
-    )
-    metric_diff = ""
-    if "metrics" in differing:
-        fields = sorted(
-            name
-            for name in left["metrics"]
-            if left["metrics"][name] != right["metrics"].get(name)
-        )
-        metric_diff = f" (metrics fields: {', '.join(fields)})"
-    return [
-        f"sharded run (shards={context.requested_shards}) diverged from "
-        f"sequential in {', '.join(differing)}{metric_diff}"
-    ]
-
-
-def check_shard_fallback(context: DifferentialContext) -> List[str]:
-    """Infeasible/ineligible shard requests must degrade, never error.
-
-    ``feasible_shards`` clamps over-sharded grids and
-    :attr:`~repro.sim.sharded.ShardedEngine.ineligible_reason` routes
-    ineligible runs to the sequential loop — so a sharded rerun that raises
-    instead of falling back is a bug regardless of the requested count.
-    """
-    if context.shard_error is None:
-        return []
-    return [
-        f"sharded rerun (shards={context.requested_shards}) raised instead "
-        f"of falling back: {context.shard_error}"
-    ]
-
-
 def check_clone_identity(context: DifferentialContext) -> List[str]:
     """Records simulated on a clone must be byte-identical to from-scratch runs.
 
@@ -364,8 +299,6 @@ ORACLES: Tuple[Oracle, ...] = (
     Oracle("theorem2-bound", "bug", check_theorem2_bound),
     Oracle("energy-reconciliation", "bug", check_energy_reconciliation),
     Oracle("message-conservation", "bug", check_message_conservation),
-    Oracle("sharded-identity", "bug", check_sharded_identity),
-    Oracle("shard-fallback", "bug", check_shard_fallback),
     Oracle("clone-identity", "bug", check_clone_identity),
 )
 
@@ -413,10 +346,7 @@ def run_differential(
     scheme sees the identical deployment; records flow through the broker
     layer (``broker`` when given, otherwise the one-shot
     :func:`~repro.experiments.broker.execute_batch` admission over
-    ``executor``/``cache``).  The sharded-identity rerun deliberately
-    bypasses broker and cache: specs are shard-agnostic by design, so a
-    cache hit would silently replace the sharded execution under test with
-    the sequential record.
+    ``executor``/``cache``).
     """
     schemes = available_schemes()
     harness_scenario = dataclasses.replace(scenario, schemes=schemes)
@@ -426,32 +356,17 @@ def run_differential(
     else:
         records = execute_batch(specs, executor=executor, cache=cache)
 
-    sharded_pair: Optional[Tuple[RunRecord, RunRecord]] = None
-    shard_error: Optional[str] = None
     sequential: Optional[RunRecord] = None
     sr_spec = next((spec for spec in specs if spec.scheme == "SR"), None)
-    requested = scenario.shards if scenario.shards > 1 else 2
     if sr_spec is not None:
-        # From-scratch ground truth for both identity oracles: its own
+        # From-scratch ground truth for the clone-identity oracle: its own
         # build, so no shared state can leak into the reference.
-        sequential = execute_run(dataclasses.replace(sr_spec, shards=1))
-        try:
-            sharded = execute_run(
-                dataclasses.replace(
-                    sr_spec, shards=requested, shard_mode="inline"
-                )
-            )
-            sharded_pair = (sequential, sharded)
-        except Exception as error:  # noqa: BLE001 - the oracle reports it
-            shard_error = f"{type(error).__name__}: {error}"
+        sequential = execute_run(sr_spec)
 
     context = DifferentialContext(
         scenario=harness_scenario,
         schemes=schemes,
         records=tuple(records),
-        sharded_pair=sharded_pair,
-        shard_error=shard_error,
-        requested_shards=requested,
         sequential=sequential,
     )
     outcomes = tuple(oracle.evaluate(context) for oracle in oracles)

@@ -29,6 +29,7 @@ one run plus N-1 table lookups.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import tempfile
@@ -78,6 +79,12 @@ DEFAULT_PORT = 8008
 #: ``Content-Length`` above it is answered 413 before any byte is read; a
 #: spec document is well under a kilobyte.
 MAX_BODY_BYTES = 64 * 1024
+
+#: Seconds any single read or write on a request's socket may block.  A body
+#: shorter than its declared ``Content-Length`` would otherwise hold its
+#: handler thread until the client closes; on timeout the handler drops the
+#: connection.
+REQUEST_TIMEOUT_SECONDS = 30.0
 
 #: The figure endpoints the server exposes (each maps to a driver function).
 FIGURE_ENDPOINTS = ("fig6", "fig7", "fig8")
@@ -240,6 +247,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
     server: ExperimentServer  # narrowed for type checkers
 
     # ------------------------------------------------------------- plumbing
+    def setup(self) -> None:
+        """Bound every socket operation by :data:`REQUEST_TIMEOUT_SECONDS`.
+
+        ``StreamRequestHandler.setup`` applies ``timeout`` to the
+        connection, and ``handle_one_request`` closes it when a read or
+        write times out.
+        """
+        self.timeout = REQUEST_TIMEOUT_SECONDS
+        super().setup()
+
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         """Per-request logging, silenced unless the server is verbose."""
         if self.server.config.verbose:
@@ -453,7 +470,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
         record = execute_run_streaming(spec, observe)
         if cache is not None:
-            cache.put(record)
+            # Persistence is best-effort, as in the broker: a failing store
+            # must not cost the client its ``done`` event.
+            with contextlib.suppress(Exception):
+                cache.put(record)
         emit_line({"event": "done", "key": key, "record": record_to_dict(record)})
 
     def _handle_scenario(self, name: str, query: Dict[str, List[str]]) -> None:

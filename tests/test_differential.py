@@ -4,13 +4,11 @@ Two layers:
 
 * **Known-violation fixtures** — every oracle gets a hand-doctored
   :class:`DifferentialContext` (miscounted moves, a non-conserved message
-  ledger, a rising energy series, a divergent sharded pair, a swallowed
-  shard error, a batch record that diverged from its from-scratch run) it
-  must flag, plus a clean context it must pass.  An oracle
+  ledger, a rising energy series, a batch record that diverged from its
+  from-scratch run) it must flag, plus a clean context it must pass.  An oracle
   without a fixture proving it fires is dead weight.
 * **Harness integration** — ``run_differential`` over a real scenario is
-  clean of bug-severity violations, deliberately infeasible shard requests
-  fall back instead of erroring, and ``run_fuzz`` is deterministic: equal
+  clean of bug-severity violations, and ``run_fuzz`` is deterministic: equal
   seeds archive byte-identical falsifier sets.
 """
 
@@ -24,8 +22,6 @@ from repro.experiments.differential import (
     check_clone_identity,
     check_energy_reconciliation,
     check_message_conservation,
-    check_shard_fallback,
-    check_sharded_identity,
     check_sr_ar_moves,
     check_theorem2_bound,
     run_differential,
@@ -106,14 +102,6 @@ class TestHarness:
             # metrics.scheme is the controller family ("SR-energy" runs the
             # SR controller); the spec records the registry name exactly.
             assert record.spec.scheme == scheme
-
-    def test_sharded_rerun_happened(self, clean_report):
-        assert clean_report.context.shard_error is None
-        assert clean_report.context.sharded_pair is not None
-        sequential, sharded = clean_report.context.sharded_pair
-        assert sequential.spec.shards == 1
-        assert sharded.spec.shards == clean_report.context.requested_shards
-
 
 class TestSrArMovesOracle:
     def test_clean_context_passes(self, clean_report):
@@ -274,40 +262,6 @@ class TestMessageConservationOracle:
         assert len(violations) == 1 and "AR" in violations[0]
 
 
-class TestShardedIdentityOracle:
-    def test_clean_context_passes(self, clean_report):
-        assert check_sharded_identity(clean_report.context) == []
-
-    def test_missing_pair_passes(self, clean_report):
-        doctored = dataclasses.replace(clean_report.context, sharded_pair=None)
-        assert check_sharded_identity(doctored) == []
-
-    def test_flags_a_divergent_sharded_record(self, clean_report):
-        context = clean_report.context
-        sequential, sharded = context.sharded_pair
-        diverged = doctor_record(
-            sharded, total_moves=sharded.metrics.total_moves + 1
-        )
-        doctored = dataclasses.replace(
-            context, sharded_pair=(sequential, diverged)
-        )
-        violations = check_sharded_identity(doctored)
-        assert len(violations) == 1
-        assert "diverged from sequential" in violations[0]
-        assert "total_moves" in violations[0]
-
-    def test_cached_flag_does_not_break_identity(self, clean_report):
-        # `cached` is provenance, not physics: a cache-served sequential
-        # record still matches a fresh sharded execution.
-        context = clean_report.context
-        sequential, sharded = context.sharded_pair
-        doctored = dataclasses.replace(
-            context,
-            sharded_pair=(dataclasses.replace(sequential, cached=True), sharded),
-        )
-        assert check_sharded_identity(doctored) == []
-
-
 class TestCloneIdentityOracle:
     def test_clean_context_passes(self, clean_report):
         assert check_clone_identity(clean_report.context) == []
@@ -342,41 +296,6 @@ class TestCloneIdentityOracle:
         assert check_clone_identity(doctored) == []
 
 
-class TestShardFallbackOracle:
-    def test_clean_context_passes(self, clean_report):
-        assert check_shard_fallback(clean_report.context) == []
-
-    def test_flags_a_raised_shard_error(self, clean_report):
-        doctored = dataclasses.replace(
-            clean_report.context,
-            shard_error="RuntimeError: shard tiling exploded",
-        )
-        violations = check_shard_fallback(doctored)
-        assert len(violations) == 1
-        assert "raised instead of falling back" in violations[0]
-
-    def test_infeasible_shard_request_falls_back_cleanly(self):
-        # A 2-column grid hosts no halo-wide band pair (feasible_shards == 1);
-        # requesting 6 tiles must degrade to sequential, not raise — and the
-        # fallback satisfies byte-identity by construction.
-        scenario = Scenario(
-            name="infeasible-shards",
-            scenario=ScenarioConfig(
-                columns=2, rows=6, deployed_count=36, spare_surplus=3, seed=5
-            ),
-            schemes=("SR", "AR"),
-            trials=1,
-            max_rounds=40,
-            shards=6,
-            shard_mode="inline",
-        )
-        report = run_differential(scenario)
-        assert report.context.requested_shards == 6
-        assert report.context.shard_error is None
-        assert report.context.sharded_pair is not None
-        assert not report.bug_violations
-
-
 class TestRunFuzz:
     def test_requires_samples_or_minutes(self):
         with pytest.raises(ValueError):
@@ -387,25 +306,25 @@ class TestRunFuzz:
         assert result.samples_run == 1
 
     def test_known_seed_archives_a_claim_falsifier(self, tmp_path):
-        # Seed 9 sample 4 is the session's known discovery: a per-seed
+        # Seed 2 sample 3 is the session's known discovery: a per-seed
         # counterexample to "SR moves <= AR moves" (claim severity).
-        result = run_fuzz(seed=9, samples=5, archive_dir=tmp_path)
+        result = run_fuzz(seed=2, samples=5, archive_dir=tmp_path)
         assert result.samples_run == 5
         assert not result.bug_falsifiers
         names = [f.scenario.name for f in result.claim_falsifiers]
-        assert names == ["falsified-sr-ar-moves-s9-i4"]
+        assert names == ["falsified-sr-ar-moves-s2-i3"]
         falsifier = result.claim_falsifiers[0]
         assert falsifier.path is not None and falsifier.path.exists()
         archived = load_scenario(falsifier.path)
-        assert archived.name == "falsified-sr-ar-moves-s9-i4"
+        assert archived.name == "falsified-sr-ar-moves-s2-i3"
         assert archived.stresses  # the violation detail rides along
         assert "sr-ar-moves" in archived.description
 
     def test_equal_seeds_archive_byte_identical_falsifiers(self, tmp_path):
         first_dir = tmp_path / "first"
         second_dir = tmp_path / "second"
-        first = run_fuzz(seed=9, samples=5, archive_dir=first_dir)
-        second = run_fuzz(seed=9, samples=5, archive_dir=second_dir)
+        first = run_fuzz(seed=2, samples=5, archive_dir=first_dir)
+        second = run_fuzz(seed=2, samples=5, archive_dir=second_dir)
         first_files = sorted(p.name for p in first_dir.iterdir())
         second_files = sorted(p.name for p in second_dir.iterdir())
         assert first_files == second_files and first_files
@@ -418,7 +337,7 @@ class TestRunFuzz:
         ]
 
     def test_archived_falsifier_still_fails_its_oracle_on_replay(self, tmp_path):
-        result = run_fuzz(seed=9, samples=5, archive_dir=tmp_path)
+        result = run_fuzz(seed=2, samples=5, archive_dir=tmp_path)
         falsifier = result.falsifiers[0]
         oracle = next(o for o in ORACLES if o.name == falsifier.oracle)
         replay = run_differential(

@@ -7,8 +7,8 @@ through :meth:`WsnState.disable_node` and through an independent copy of the
 per-victim algorithm (index surgery plus an immediate re-election on every
 head loss) — under every head policy, on tie-heavy fixtures where the
 argbest tie-breaks decide the outcome, with an attached neighbour index,
-mid-run after moves have left non-best heads in place, with repeated and
-already-disabled ids, and on a sharded tile replica with masked rows.
+mid-run after moves have left non-best heads in place, and with repeated
+and already-disabled ids.
 """
 
 from __future__ import annotations
@@ -170,20 +170,6 @@ def test_repeated_and_already_disabled_ids_are_skipped(policy):
     assert disabled == state.arrays.node_ids[10:20].tolist()
     assert state.disable_nodes(first) == []
     assert state.disable_nodes([]) == []
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_batch_on_tile_replica_skips_masked_rows(seed):
-    rng = random.Random(seed)
-    state = _symmetric_state("lowest_id", rng)
-    replica = state.extract_column_band(1, 3)
-    masked = [n for n in replica.arrays.node_ids.tolist() if replica.is_masked(n)]
-    victims = _victims(replica, rng, share=0.5) + masked[:5]
-    disabled = _assert_batch_matches(replica, victims)
-    assert not set(disabled) & set(masked)
-    batched = replica.clone()
-    batched.disable_nodes(victims)
-    assert all(batched.is_masked(n) for n in masked)
 
 
 def test_batch_rejects_bad_input_without_mutating():

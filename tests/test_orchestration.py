@@ -282,6 +282,18 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         assert cache.get(quick_spec()) is None
 
+    def test_cache_format_version_unchanged(self):
+        # A bump here means something leaked into the persisted record
+        # format; v5 came from the message-ledger metrics fields.
+        assert CACHE_FORMAT_VERSION == 5
+
+    def test_run_key_is_pinned(self):
+        # Stored records are addressed by this digest: a different value
+        # orphans every existing cache entry.
+        assert run_key(quick_spec()) == (
+            "bedd2e960a9ead0714111ebc85ff6d8b547c50a4e2b9c464c0908573e8f25000"
+        )
+
 
 class TestCachedSweeps:
     def test_second_pass_executes_nothing(self, tmp_path):

@@ -11,7 +11,10 @@ The contracts exercised here:
 * error mapping: bad specs -> 400, unknown endpoints -> 404, a full broker
   queue -> 503;
 * a hostile ``Content-Length`` (negative, non-integer, above the body cap)
-  is answered 400/413 at once instead of hanging the connection.
+  is answered 400/413 at once instead of hanging the connection, and a body
+  shorter than its declared length is dropped after the socket timeout;
+* a failing store costs a streamed run nothing: the client still gets
+  ``done``.
 """
 
 import json
@@ -23,8 +26,9 @@ import pytest
 
 from repro.experiments.broker import ExperimentBroker
 from repro.experiments.orchestration import execute_run
-from repro.experiments.persistence import record_to_dict
+from repro.experiments.persistence import RunCache, record_to_dict
 from repro.serve import ServeClient, ServeConfig, make_server, spec_from_request
+from repro.serve import server as server_module
 from repro.serve.client import ServeError
 from repro.serve.server import MAX_BODY_BYTES
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
@@ -48,10 +52,10 @@ def spec_payload(scheme: str = "SR", seed: int = 3, **overrides) -> dict:
 
 
 @contextmanager
-def running_server(broker=None, **config_kwargs):
+def running_server(broker=None, cache=None, **config_kwargs):
     """An ephemeral-port server (and client) that is torn down afterwards."""
     config = ServeConfig(port=0, workers=config_kwargs.pop("workers", 2), **config_kwargs)
-    server = make_server(config, broker=broker)
+    server = make_server(config, broker=broker, cache=cache)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -139,6 +143,24 @@ def test_streamed_run_emits_live_rounds_then_caches():
         assert replay[0]["record"] == events[-1]["record"]
 
 
+class FailingStore(RunCache):
+    """A run cache whose writes always fail (a full disk, a locked store)."""
+
+    def put(self, record):
+        raise OSError("store is read-only")
+
+
+def test_streamed_run_survives_a_failing_store(tmp_path):
+    with running_server(cache=FailingStore(tmp_path)) as (server, client):
+        events = list(client.run_stream(spec_payload(seed=12)))
+        assert [events[0]["event"], events[-1]["event"]] == ["accepted", "done"]
+        local = record_to_dict(execute_run(spec_from_request(spec_payload(seed=12))))
+        assert events[-1]["record"] == local
+        # The write failed, so the next stream simulates again.
+        replay = list(client.run_stream(spec_payload(seed=12)))
+        assert replay[-1]["event"] == "done"
+
+
 def test_concurrent_identical_queries_share_one_simulation():
     """Acceptance: a thundering herd of one spec costs one simulation."""
     with running_server() as (server, client):
@@ -211,6 +233,24 @@ def test_oversized_content_length_maps_to_413_before_reading():
             body=b'{"scheme": ',
         )
         assert status == 413
+        assert server.broker.stats().executed == 0
+
+
+def test_truncated_body_is_dropped_after_the_socket_timeout(monkeypatch):
+    monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_SECONDS", 0.2)
+    with running_server() as (server, _):
+        host, port = server.url.rsplit("/", 1)[-1].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as conn:
+            # Ten bytes of a declared hundred, then silence.
+            conn.sendall(
+                f"POST /run HTTP/1.1\r\nHost: {host}\r\nConnection: keep-alive\r\n"
+                "Content-Length: 100\r\n\r\n".encode("latin-1") + b'{"scheme":'
+            )
+            try:
+                remainder = conn.makefile("rb").read()
+            except socket.timeout:
+                pytest.fail("the server held the connection past its socket timeout")
+        assert remainder == b""  # closed without a response
         assert server.broker.stats().executed == 0
 
 
