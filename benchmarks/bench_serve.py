@@ -10,8 +10,8 @@ drives it with the workload shape the broker exists for:
 * a **herd pass** — many concurrent requests for one novel spec, which the
   broker's in-flight dedup must collapse onto a single simulation.
 
-Two further sections profile the cold path itself, off the HTTP socket —
-the exact code broker workers run per cold spec:
+Three further sections run off the HTTP socket.  The first two profile the
+cold path itself — the exact code a broker runs per cold spec:
 
 * a **cold-path breakdown** — seconds spent building the initial scenario
   state versus simulating from it, per scheme;
@@ -21,12 +21,20 @@ the exact code broker workers run per cold spec:
   build with and without scenario reuse (the default reuses), and the
   per-victim reference build (:mod:`reference_build`: index the whole
   deployment, then one ``disable_node`` call per thinned node) with and
-  without it.  "Shared" passes run the batch through
-  ``ExperimentBroker(workers=2).run``, which builds each consecutive
+  without it.  "Shared" passes run the batch through an in-process
+  ``ExperimentBroker(workers=1).run``, which builds each consecutive
   same-scenario group once and simulates every spec on a clone; "unshared"
   passes call ``execute_run`` spec by spec, one build each.  The
   ``batched_unshared`` key names the survivors-only build.  Records from
   all four passes must be byte-identical.
+
+The third, **pool scaling**, times the 60-spec Fig. 6-8 batch
+(``build_comparison_specs(SECTION5_CONFIG.with_seed(seed),
+PAPER_SPARE_VALUES, trials=3)``) through ``ExperimentBroker(workers=1)``
+(in-process) and ``ExperimentBroker(workers=2)`` (two forked pool
+workers), one fresh interpreter per run, with the pool's start-up inside
+the timed span.  It reports per-seed wall times, their medians and the
+cores the process may run on.
 
 Usage::
 
@@ -48,14 +56,20 @@ requests, "p99" is just the max wearing a statistics costume).  The guards
   faster than the unshared per-victim reference, and no slower than the
   shared per-victim reference, with byte-identical records.  The reuse's
   own gain over the unshared build (``scenario_reuse_speedup``) is reported
-  but not guarded.
+  but not guarded;
+* the two-worker pool runs the Fig. 6-8 batch at least
+  ``MIN_POOL_SPEEDUP`` times faster than one in-process worker (median over
+  the seeds), with byte-identical records.  The speedup half of this guard
+  needs two cores; on a single-core host it is skipped with a note.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -100,6 +114,31 @@ SWEEP_REPEATS = 3
 MIN_WARM_SPEEDUP = 10.0
 MAX_WARM_P50_SECONDS = 0.25
 MIN_COLD_SWEEP_SPEEDUP = 2.0
+MIN_POOL_SPEEDUP = 1.5
+#: Seeds of the pool-scaling section (full run / ``--smoke``).
+POOL_SEEDS = (1, 2, 3, 4, 5)
+POOL_SMOKE_SEEDS = (1, 2, 3)
+
+#: One pool-scaling run, in a fresh interpreter: argv is (workers, seed); it
+#: prints the wall seconds of the batch (broker start-up and shutdown
+#: included) and the sha256 of its records.
+_POOL_RUN = """
+import hashlib, json, sys, time
+from repro.experiments.broker import ExperimentBroker
+from repro.experiments.figures import PAPER_SPARE_VALUES, SECTION5_CONFIG
+from repro.experiments.persistence import record_to_dict
+from repro.experiments.sweep import build_comparison_specs
+
+workers, seed = int(sys.argv[1]), int(sys.argv[2])
+specs = build_comparison_specs(SECTION5_CONFIG.with_seed(seed), PAPER_SPARE_VALUES, trials=3)
+started = time.perf_counter()
+with ExperimentBroker(workers=workers) as broker:
+    records = broker.run(specs)
+seconds = time.perf_counter() - started
+dump = json.dumps([record_to_dict(record) for record in records], sort_keys=True)
+print(json.dumps({"specs": len(specs), "seconds": seconds,
+                  "digest": hashlib.sha256(dump.encode()).hexdigest()}))
+"""
 
 
 def spec_payload(scheme: str, seed: int) -> dict:
@@ -225,13 +264,13 @@ def _timed_records(specs: list, per_victim: bool, shared: bool) -> tuple:
     """Run the specs once; return (records, wall seconds).
 
     ``per_victim`` builds with the per-victim reference; ``shared`` runs the
-    batch through a fresh two-worker :class:`ExperimentBroker`, which builds
+    batch through a fresh in-process :class:`ExperimentBroker`, which builds
     each consecutive same-scenario group once, otherwise every spec builds
     its own initial state through ``execute_run``.
     """
     with per_victim_build() if per_victim else nullcontext():
         if shared:
-            with ExperimentBroker(workers=2) as broker:
+            with ExperimentBroker(workers=1) as broker:
                 started = time.perf_counter()
                 records = broker.run(specs)
                 wall = time.perf_counter() - started
@@ -301,7 +340,52 @@ def sweep_cold_pass(scenarios: int) -> dict:
     }
 
 
-def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
+def cores_available() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_scaling(seeds) -> dict:
+    """The Fig. 6-8 batch on one in-process worker vs a two-worker pool.
+
+    Each (seed, workers) run is a fresh interpreter, so neither side reuses
+    a warm pool or a warm import; the two worker counts alternate per seed.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    seconds = {1: [], 2: []}
+    digests = {}
+    specs = 0
+    for seed in seeds:
+        for workers in (1, 2):
+            completed = subprocess.run(
+                [sys.executable, "-c", _POOL_RUN, str(workers), str(seed)],
+                env=env, capture_output=True, text=True, check=True, timeout=600,
+            )
+            run = json.loads(completed.stdout.strip().splitlines()[-1])
+            seconds[workers].append(round(run["seconds"], 4))
+            digests.setdefault(seed, set()).add(run["digest"])
+            specs = run["specs"]
+    medians = {workers: statistics.median(values) for workers, values in seconds.items()}
+    return {
+        "workload": (
+            "build_comparison_specs(SECTION5_CONFIG.with_seed(seed), "
+            "PAPER_SPARE_VALUES, trials=3)"
+        ),
+        "specs": specs,
+        "seeds": list(seeds),
+        "cores_available": cores_available(),
+        "seconds": {f"workers_{w}": values for w, values in seconds.items()},
+        "median_seconds": {f"workers_{w}": round(m, 4) for w, m in medians.items()},
+        "speedup": round(medians[1] / medians[2], 2),
+        "records_identical": all(len(found) == 1 for found in digests.values()),
+    }
+
+
+def run_benchmark(
+    seeds: int, workers: int, sweep_scenarios: int, pool_seeds
+) -> tuple:
     """Execute all passes against a private server; return (report, failures)."""
     server = make_server(ServeConfig(port=0, workers=workers))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -320,6 +404,7 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
 
     breakdown = cold_path_breakdown()
     sweep = sweep_cold_pass(scenarios=sweep_scenarios)
+    pool = pool_scaling(pool_seeds)
 
     speedup = warm["specs_per_second"] / cold["specs_per_second"]
     report = {
@@ -331,13 +416,16 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             "(in-flight dedup), plus the off-socket cold path itself: the "
             "state-build/simulate split per cold spec and a sweep-shaped "
             "workload run with the survivors-only and the per-victim reference "
-            "build, each spec by spec (unshared) and through a two-worker "
+            "build, each spec by spec (unshared) and through an in-process "
             "broker that builds each same-scenario group once (shared) "
-            "(byte-identical records required); p99 latency is reported only "
-            "for passes with >= 100 requests, smaller passes carry p50/max "
-            "only; guards: warm_vs_cold_speedup >= 10x, "
+            "(byte-identical records required), and the 60-spec Fig. 6-8 "
+            "batch on a one-worker (in-process) vs a two-worker (process "
+            "pool) broker, a fresh interpreter per run; p99 latency is "
+            "reported only for passes with >= 100 requests, smaller passes "
+            "carry p50/max only; guards: warm_vs_cold_speedup >= 10x, "
             "cold_path.sweep.speedup_vs_reference_unshared >= 2x, "
-            "cold_path.sweep.speedup_vs_reference_shared >= 1x; "
+            "cold_path.sweep.speedup_vs_reference_shared >= 1x, "
+            "pool_scaling.speedup >= 1.5x where cores_available >= 2; "
             "scenario_reuse_speedup is an unguarded diagnostic"
         ),
         "scenario": SCENARIO,
@@ -353,6 +441,7 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             "breakdown": breakdown,
             "sweep": sweep,
         },
+        "pool_scaling": pool,
         "server_stats": stats,
     }
 
@@ -401,6 +490,20 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             f"{sweep['speedup_vs_reference_shared']:.2f}x the shared per-victim "
             "reference (guard: no slower)"
         )
+    if not pool["records_identical"]:
+        failures.append("the pool and in-process brokers produced different records")
+    if pool["cores_available"] < 2:
+        print(
+            f"bench_serve: pool-scaling guard skipped: only "
+            f"{pool['cores_available']} core available, a two-worker pool "
+            "cannot outrun one worker here"
+        )
+    elif pool["speedup"] < MIN_POOL_SPEEDUP:
+        failures.append(
+            f"the two-worker pool runs the Fig. 6-8 batch only "
+            f"{pool['speedup']:.2f}x as fast as one in-process worker "
+            f"(guard: >= {MIN_POOL_SPEEDUP}x on {pool['cores_available']} cores)"
+        )
     return report, failures
 
 
@@ -415,7 +518,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seeds", type=int, default=None, help="seeds per scheme (distinct specs / 2)"
     )
-    parser.add_argument("--workers", type=int, default=2, help="broker worker threads")
+    parser.add_argument("--workers", type=int, default=2, help="server worker processes")
     parser.add_argument(
         "--output",
         type=Path,
@@ -427,7 +530,10 @@ def main(argv=None) -> int:
     seeds = args.seeds if args.seeds is not None else (2 if args.smoke else 12)
     sweep_scenarios = 2 if args.smoke else 3
     report, failures = run_benchmark(
-        seeds=seeds, workers=args.workers, sweep_scenarios=sweep_scenarios
+        seeds=seeds,
+        workers=args.workers,
+        sweep_scenarios=sweep_scenarios,
+        pool_seeds=POOL_SMOKE_SEEDS if args.smoke else POOL_SEEDS,
     )
 
     if failures:
@@ -444,7 +550,8 @@ def main(argv=None) -> int:
         f"cold sweep {sweep['speedup_vs_reference_unshared']}x / "
         f"{sweep['speedup_vs_reference_shared']}x the per-victim reference "
         f"without / with scenario reuse "
-        f"({sweep['specs_per_second']['default']} specs/s, identical records)"
+        f"({sweep['specs_per_second']['default']} specs/s, identical records), "
+        f"Fig. 6-8 batch {report['pool_scaling']['speedup']}x on a two-worker pool"
     )
     if not args.smoke:
         args.output.write_text(json.dumps(report, indent=2) + "\n")

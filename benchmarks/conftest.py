@@ -6,11 +6,10 @@ benchmark modules.  Every benchmark writes the series it regenerates to
 ``benchmarks/results/*.csv`` so the numbers can be compared against the
 paper's figures (see EXPERIMENTS.md) without re-running anything.
 
-The sweep goes through the orchestration layer
-(:mod:`repro.experiments.orchestration`):
+The sweep goes through an :class:`~repro.experiments.broker.ExperimentBroker`:
 
-* ``REPRO_BENCH_JOBS=<n>`` runs the sweep cells on ``n`` worker processes
-  (identical results, shorter session start-up);
+* ``REPRO_BENCH_JOBS=<n>`` runs the sweep's scenario groups on ``n`` worker
+  processes (identical results, shorter session start-up);
 * ``REPRO_BENCH_CACHE_DIR=<dir>`` persists the run records so repeated
   benchmark sessions skip the simulations entirely.
 """
@@ -23,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.figures import run_section5_experiment
-from repro.experiments.orchestration import make_executor
+from repro.experiments.broker import ExperimentBroker
 from repro.experiments.persistence import RunCache
 from repro.experiments.results import ExperimentResult
 from repro.sim.scenario import ScenarioConfig
@@ -47,16 +46,16 @@ def section5_experiment() -> ExperimentResult:
         deployed_count=5000,
         seed=2008,
     )
-    executor = make_executor(int(os.environ.get("REPRO_BENCH_JOBS", "1")))
     cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
     cache = RunCache(cache_dir) if cache_dir else None
-    return run_section5_experiment(
-        spare_values=BENCH_SPARE_VALUES,
-        config=config,
-        trials=1,
-        executor=executor,
-        cache=cache,
-    )
+    workers = max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
+    with ExperimentBroker(cache=cache, workers=workers) as broker:
+        return run_section5_experiment(
+            spare_values=BENCH_SPARE_VALUES,
+            config=config,
+            trials=1,
+            broker=broker,
+        )
 
 
 @pytest.fixture(scope="session")

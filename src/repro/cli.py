@@ -39,10 +39,11 @@ programmatically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import analysis
 from repro.experiments.figures import (
@@ -68,12 +69,8 @@ from repro.experiments.catalog import (
     render_catalog_docs,
     resolve_scenario,
 )
-from repro.experiments.orchestration import (
-    RunExecutor,
-    RunSpec,
-    execute_many,
-    make_executor,
-)
+from repro.experiments.broker import ExperimentBroker
+from repro.experiments.orchestration import RunSpec, execute_many
 from repro.experiments.persistence import CACHE_BACKENDS, RunCache, make_cache
 from repro.experiments.scenario_files import (
     Scenario,
@@ -409,13 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="broker worker threads simulating cache misses",
+        help="worker processes simulating cache misses (1 = in the server "
+        "process); the same knob as --jobs on the batch commands",
     )
     serve.add_argument(
         "--queue-limit",
         type=int,
         default=256,
-        help="pending-run bound before /run answers HTTP 503 (0 = unbounded)",
+        help="pending-run bound before /run answers HTTP 429 (0 = unbounded)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log one line per request"
@@ -503,8 +501,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the simulation runs (1 = serial; "
-        "results are identical to serial for the same seeds)",
+        help="worker processes for the simulation runs (1 = in-process; "
+        "results are identical at any worker count for the same seeds)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -527,15 +525,25 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 # ------------------------------------------------------------------ commands
+@contextlib.contextmanager
 def _execution_backend(
     args: argparse.Namespace,
-) -> tuple[RunExecutor, Optional[RunCache]]:
-    """Executor + optional cache as selected by the shared CLI flags."""
-    executor = make_executor(args.jobs)
+) -> Iterator[Tuple[Optional[ExperimentBroker], Optional[RunCache]]]:
+    """``(broker, cache)`` as the shared CLI flags select.
+
+    ``--jobs N`` above 1 yields a broker with ``N`` pool workers over the
+    cache, reaped on exit; ``--jobs 1`` yields no broker, so each batch runs
+    on a one-shot broker in the calling thread (no dispatcher thread, whose
+    malloc arena would only add peak memory).
+    """
     cache: Optional[RunCache] = None
     if args.cache_dir is not None and not args.no_cache:
         cache = make_cache(args.cache_dir, backend=args.cache_backend)
-    return executor, cache
+    if args.jobs <= 1:
+        yield None, cache
+        return
+    with ExperimentBroker(cache=cache, workers=args.jobs) as broker:
+        yield broker, cache
 
 
 def _cache_report(cache: RunCache) -> str:
@@ -578,14 +586,14 @@ def _figures_command(args: argparse.Namespace) -> int:
     if wanted & set(EXPERIMENTAL_FIGURES):
         spare_values = QUICK_SPARE_VALUES if args.quick else PAPER_SPARE_VALUES
         config = ScenarioConfig(seed=args.seed)
-        executor, cache = _execution_backend(args)
-        experiment = run_section5_experiment(
-            spare_values=spare_values,
-            config=config,
-            trials=args.trials,
-            executor=executor,
-            cache=cache,
-        )
+        with _execution_backend(args) as (broker, cache):
+            experiment = run_section5_experiment(
+                spare_values=spare_values,
+                config=config,
+                trials=args.trials,
+                cache=cache,
+                broker=broker,
+            )
         if cache is not None and cache.hits:
             print(_cache_report(cache))
             print()
@@ -650,7 +658,6 @@ def _compare_command(args: argparse.Namespace) -> int:
         spare_surplus=args.spare_surplus,
         seed=args.seed,
     )
-    executor, cache = _execution_backend(args)
     specs = [
         RunSpec(
             scenario=config,
@@ -661,7 +668,8 @@ def _compare_command(args: argparse.Namespace) -> int:
         )
         for scheme in args.schemes
     ]
-    records = execute_many(specs, executor=executor, cache=cache)
+    with _execution_backend(args) as (broker, cache):
+        records = execute_many(specs, cache=cache, broker=broker)
     initial = records[0].metrics
     channel_note = f", channel {args.channel.kind}" if args.channel is not None else ""
     print(
@@ -726,16 +734,16 @@ def _lifetime_command(args: argparse.Namespace) -> int:
             idle_cost_per_round=args.idle_cost,
             depletion_threshold=args.depletion_threshold,
         )
-        executor, cache = _execution_backend(args)
-        result = run_lifetime_experiment(
-            config=config,
-            schemes=args.schemes,
-            energy=energy,
-            trials=args.trials,
-            max_rounds=args.max_rounds,
-            executor=executor,
-            cache=cache,
-        )
+        with _execution_backend(args) as (broker, cache):
+            result = run_lifetime_experiment(
+                config=config,
+                schemes=args.schemes,
+                energy=energy,
+                trials=args.trials,
+                max_rounds=args.max_rounds,
+                cache=cache,
+                broker=broker,
+            )
     except ValueError as error:
         print(f"lifetime: {error}", file=sys.stderr)
         return 2
@@ -826,8 +834,8 @@ def _scenario_run_command(args: argparse.Namespace) -> int:
     scenario = _resolve_cli_scenario(args)
     if args.smoke:
         scenario = scenario.smoke_variant()
-    executor, cache = _execution_backend(args)
-    records = scenario.execute(executor=executor, cache=cache)
+    with _execution_backend(args) as (broker, cache):
+        records = scenario.execute(cache=cache, broker=broker)
     print(_scenario_header(scenario))
     if cache is not None and cache.hits:
         print(_cache_report(cache))
@@ -847,8 +855,8 @@ def _scenario_sweep_command(args: argparse.Namespace) -> int:
     variants = [scenario.with_spare_surplus(n) for n in args.spares]
     variant_specs = [variant.run_specs() for variant in variants]
     specs: List[RunSpec] = [spec for chunk in variant_specs for spec in chunk]
-    executor, cache = _execution_backend(args)
-    records = execute_many(specs, executor=executor, cache=cache)
+    with _execution_backend(args) as (broker, cache):
+        records = execute_many(specs, cache=cache, broker=broker)
     print(_scenario_header(scenario))
     if cache is not None and cache.hits:
         print(_cache_report(cache))
@@ -901,20 +909,20 @@ def _scenario_fuzz_command(args: argparse.Namespace) -> int:
     archive_dir: Optional[Path] = None
     if not args.no_archive:
         archive_dir = args.archive_dir if args.archive_dir is not None else falsified_dir()
-    executor, cache = _execution_backend(args)
     budget = (
         f"{args.samples} samples" if args.samples is not None else f"{args.minutes} min"
     )
     print(f"scenario fuzz: seed {args.seed}, {budget}, archive: {archive_dir or 'off'}")
-    result = run_fuzz(
-        seed=args.seed,
-        samples=args.samples,
-        minutes=args.minutes,
-        archive_dir=archive_dir,
-        executor=executor,
-        cache=cache,
-        log=print,
-    )
+    with _execution_backend(args) as (broker, cache):
+        result = run_fuzz(
+            seed=args.seed,
+            samples=args.samples,
+            minutes=args.minutes,
+            archive_dir=archive_dir,
+            cache=cache,
+            broker=broker,
+            log=print,
+        )
     if cache is not None and cache.hits:
         print(_cache_report(cache))
     bugs = result.bug_falsifiers
@@ -943,12 +951,12 @@ def _scenario_replay_command(args: argparse.Namespace) -> int:
     from repro.experiments.differential import run_differential
 
     scenario = _resolve_cli_scenario(args)
-    executor, cache = _execution_backend(args)
     print(_scenario_header(scenario))
     if scenario.description:
         print(scenario.description)
     print()
-    report = run_differential(scenario, executor=executor, cache=cache)
+    with _execution_backend(args) as (broker, cache):
+        report = run_differential(scenario, cache=cache, broker=broker)
     result = ExperimentResult(
         name=f"replay {scenario.name}",
         columns=["oracle", "severity", "verdict", "detail"],

@@ -1,12 +1,14 @@
-"""The experiment broker: cache-first admission, in-flight dedup, priorities.
+"""The experiment broker: the one way a batch of run specs executes.
 
 The RunSpec/``execute_run``/:class:`~repro.experiments.persistence.RunCache`
-pipeline is content-addressed and deterministic, but until this module every
-consumer drove it as a one-shot batch.  :class:`ExperimentBroker` turns it
-into a long-running service core:
+pipeline is content-addressed and deterministic.  :class:`ExperimentBroker`
+drives it, for the HTTP service and for every one-shot CLI or sweep batch
+alike (:func:`~repro.experiments.orchestration.execute_many` runs a one-shot
+broker when the caller has none):
 
-* **Cache-first admission** — ``submit`` answers from the cache before
-  touching the queue, so repeated traffic costs one backend lookup.
+* **Cache-first admission** — ``submit_many`` answers from the cache (one
+  bulk lookup per batch) before touching the queue, so repeated traffic
+  costs one backend read.
 * **In-flight deduplication** — two submissions of an identical spec (same
   ``run_key``) share one simulation; the second submitter gets the same
   :class:`RunHandle` and therefore the same record.  This is what converts
@@ -16,22 +18,24 @@ into a long-running service core:
   HTTP response) overtake batch backfill in the queue.
 * **Bounded queue depth** — past the bound, ``submit`` raises
   :class:`BrokerQueueFull` instead of buffering unboundedly; the serve layer
-  maps that to HTTP 503.
-* **Scenario reuse** — ``submit_many`` queues each run of consecutive fresh
+  maps that to HTTP 429.
+* **Scenario groups** — ``submit_many`` queues each run of consecutive fresh
   specs with an equal scenario (the sweep's schemes x trials shape) as one
-  item; the worker builds that initial state once and simulates every spec
-  on a private clone, exactly like the executors' scenario groups.
+  item, and a dispatcher runs it as
+  :func:`~repro.experiments.orchestration._run_group`: one build, every spec
+  simulated on a private clone.
+* **Process pool** — with ``workers > 1`` each dispatcher thread hands its
+  group to one persistent, lazily forked ``ProcessPoolExecutor`` and waits
+  for the outcomes, so ``workers`` groups simulate on as many cores.  With
+  ``workers == 1`` the group runs in the dispatcher thread.  Records come
+  back to this process, which is the only cache writer: each finished group
+  is persisted with one ``put_many`` before its handles leave the in-flight
+  table.  A worker that dies fails the groups it took down and the broken
+  pool is dropped, so the next dispatch forks a fresh one.
 
 Determinism makes all of this sound: ``execute_run`` is a pure function of
-its spec, so a deduplicated or cached record is byte-identical to what a
-private re-simulation would have produced.
-
-The one-shot batch entry point
-:func:`~repro.experiments.orchestration.execute_many` is a thin wrapper over
-:func:`execute_batch` below, which applies the same cache-first + dedup
-policy to a static spec list while still driving misses through a pluggable
-:class:`~repro.experiments.orchestration.RunExecutor` (so ``--jobs`` process
-parallelism keeps working).
+its spec, so a deduplicated, cached or pool-computed record is byte-identical
+to what a private re-simulation would have produced.
 """
 
 from __future__ import annotations
@@ -39,20 +43,22 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import multiprocessing
 import queue
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.orchestration import (
-    RunExecutor,
+    Outcome,
     RunRecord,
     RunSpec,
-    SerialExecutor,
-    build_initial_state,
+    _run_group,
     execute_run,
-    simulate_from,
 )
 from repro.experiments.persistence import RunCache, run_key
+from repro.experiments.registry import SCHEME_REGISTRY
 
 __all__ = [
     "Priority",
@@ -60,7 +66,6 @@ __all__ = [
     "BrokerStats",
     "RunHandle",
     "ExperimentBroker",
-    "execute_batch",
 ]
 
 
@@ -92,7 +97,8 @@ class BrokerStats:
     executed:
         Simulations actually performed by the workers.
     failed:
-        Simulations that raised (their handles carry the exception).
+        Specs whose simulation raised, or whose pool worker died (their
+        handles carry the exception).
     rejected:
         Submissions refused with :class:`BrokerQueueFull`.
     pending:
@@ -159,30 +165,31 @@ class RunHandle:
 
 
 class ExperimentBroker:
-    """Long-running execution service over an executor pool and a cache.
+    """Long-running execution service over a cache and a worker pool.
 
     Parameters
     ----------
     cache:
         Optional :class:`~repro.experiments.persistence.RunCache` consulted
         on admission and written through on completion (best-effort: a
-        failing write still resolves the handle).  Any backend works; the
+        failing write still resolves the handles).  Any backend works; the
         sqlite backend is the natural choice when several broker processes
         share one store.
     workers:
-        Worker threads draining the queue.  By default each builds a queued
-        scenario group's initial state once and simulates every spec on a
-        clone (byte-identical to
-        :func:`~repro.experiments.orchestration.execute_run` per spec);
-        simulation determinism makes thread scheduling irrelevant to
-        results.
+        How many scenario groups run at once.  ``1`` runs every group in
+        the one dispatcher thread, in this process.  Above 1, each of the
+        ``workers`` dispatcher threads sends its group to a pool of as many
+        forked worker processes (created on first use, kept across batches,
+        and re-forked when the scheme registry changes or a worker dies).
+        Records are byte-identical either way.
     queue_limit:
         Maximum pending (queued, not yet running) specs before ``submit``
         raises :class:`BrokerQueueFull`; ``None`` means unbounded.
     run_fn:
-        Execution function ``RunSpec -> RunRecord``, called once per spec;
-        injectable for tests (e.g. a gated stub proving dedup performs
-        exactly one simulation).  Only the default shares builds.
+        Execution function ``RunSpec -> RunRecord``, called once per spec in
+        the dispatcher thread; injectable for tests (e.g. a gated stub
+        proving dedup performs exactly one simulation).  Only the default
+        shares builds and uses the pool: a custom function may not pickle.
     """
 
     def __init__(
@@ -197,6 +204,7 @@ class ExperimentBroker:
         if queue_limit is not None and queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1 or None, got {queue_limit}")
         self.cache = cache
+        self.workers = workers
         self.queue_limit = queue_limit
         self._run_fn = run_fn
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
@@ -211,12 +219,13 @@ class ExperimentBroker:
         self._failed = 0
         self._rejected = 0
         self._closed = False
-        self._workers = [
-            threading.Thread(target=self._worker_loop, daemon=True, name=f"broker-{i}")
-            for i in range(workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._pool_lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_registry: Dict[str, object] = {}
+        #: Dispatcher threads, started when the first group is queued.
+        self._dispatchers: List[threading.Thread] = []
+        #: Set by :meth:`_run_in_caller`: the calling thread dispatches.
+        self._caller_dispatches = False
 
     # ------------------------------------------------------------- admission
     def submit(
@@ -236,20 +245,24 @@ class ExperimentBroker:
     ) -> List[RunHandle]:
         """Admit a batch of specs in order and return their handles.
 
-        Each spec is admitted as by :meth:`submit`; consecutive fresh specs
-        with an equal scenario are queued as one group, so a worker builds
-        their initial state once.  If admission stops part-way
-        (:class:`BrokerQueueFull`), the specs admitted before it are still
-        queued before the error propagates.
+        Each spec is admitted as by :meth:`submit`, after one bulk cache
+        lookup of the batch's distinct specs; consecutive fresh specs with
+        an equal scenario are queued as one group, so their initial state is
+        built once.  If admission stops part-way (:class:`BrokerQueueFull`),
+        the specs admitted before it are still queued before the error
+        propagates.
         """
         keys = [run_key(spec) for spec in specs]
-        hits = [self.cache.get(spec) if self.cache is not None else None for spec in specs]
+        hits: Dict[str, Optional[RunRecord]] = {}
+        if self.cache is not None:
+            distinct = dict(zip(keys, specs))
+            hits = dict(zip(distinct, self.cache.get_many(list(distinct.values()))))
         handles: List[RunHandle] = []
         group: List[RunHandle] = []
         with self._lock:
             try:
-                for spec, key, hit in zip(specs, keys, hits):
-                    handle = self._admit(spec, key, hit)
+                for spec, key in zip(specs, keys):
+                    handle = self._admit(spec, key, hits.get(key))
                     handles.append(handle)
                     if handle.cached or handle.deduplicated:
                         continue
@@ -297,15 +310,46 @@ class ExperimentBroker:
         return handle
 
     def _enqueue(self, group: List[RunHandle], priority: Priority) -> None:
-        """Queue one scenario group (called with the lock held)."""
+        """Queue one scenario group, starting the dispatchers on first use.
+
+        Called with the lock held, so :meth:`shutdown` sees every dispatcher
+        that will ever drain a queued group.
+        """
         self._sequence += 1
         self._queue.put((int(priority), self._sequence, group))
+        if not self._dispatchers and not self._caller_dispatches:
+            self._dispatchers = [
+                threading.Thread(
+                    target=self._dispatch_loop, daemon=True, name=f"broker-{i}"
+                )
+                for i in range(self.workers)
+            ]
+            for dispatcher in self._dispatchers:
+                dispatcher.start()
 
     def run(
         self, specs: Sequence[RunSpec], priority: Priority = Priority.BATCH
     ) -> List[RunRecord]:
         """Admit a batch and block for the records, in spec order."""
         return [handle.result() for handle in self.submit_many(specs, priority)]
+
+    def _run_in_caller(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
+        """Run one batch on a fresh broker with the calling thread as dispatcher.
+
+        The one-shot path of
+        :func:`~repro.experiments.orchestration.execute_many`: admission,
+        dedup, scenario groups and caching as usual, then the caller drains
+        the queue itself and the broker is shut.  Simulating in the calling
+        thread keeps the batch's allocations in that thread's malloc arena;
+        a dispatcher thread would add a second arena (about 7 MB more peak
+        RSS on the paper sweep).
+        """
+        self._caller_dispatches = True
+        handles = self.submit_many(specs)
+        self.shutdown(wait=False)
+        self._queue.put((max(Priority) + 1, float("inf"), None))
+        self._dispatch_loop()
+        return [handle.result() for handle in handles]
 
     # ------------------------------------------------------------- lifecycle
     def stats(self) -> BrokerStats:
@@ -323,31 +367,38 @@ class ExperimentBroker:
             )
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work and (optionally) join the worker threads.
+        """Stop accepting work; with ``wait``, drain, join and reap the pool.
 
         Queued specs are still drained — their submitters hold handles and
-        deserve answers — but new ``submit`` calls are refused.
+        deserve answers — but new ``submit`` calls are refused.  Without
+        ``wait`` the dispatchers finish the queue in the background and the
+        pool's processes are reaped at interpreter exit.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        for _ in self._workers:
+            dispatchers = list(self._dispatchers)
+        for _ in dispatchers:
             self._queue.put((max(Priority) + 1, float("inf"), None))
         if wait:
-            for worker in self._workers:
-                worker.join()
+            for dispatcher in dispatchers:
+                dispatcher.join()
+            with self._pool_lock:
+                pool, self._pool = self._pool, None
+            if pool is not None:
+                pool.shutdown(wait=True)
 
     def __enter__(self) -> "ExperimentBroker":
         """Context-manager entry: the broker itself."""
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit: shut down and join the workers."""
-        self.shutdown(wait=True)
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        """Context-manager exit: shut down, waiting unless an exception is unwinding."""
+        self.shutdown(wait=exc_type is None)
 
-    # --------------------------------------------------------------- workers
-    def _worker_loop(self) -> None:
+    # ----------------------------------------------------------- dispatching
+    def _dispatch_loop(self) -> None:
         """Drain the priority queue until the shutdown sentinel arrives."""
         while True:
             _, _, group = self._queue.get()
@@ -358,104 +409,99 @@ class ExperimentBroker:
             self._run_group(group)
 
     def _run_group(self, group: List[RunHandle]) -> None:
-        """Execute one queued group; each spec succeeds or fails on its own.
+        """Execute one queued group and publish every spec's outcome.
 
-        The default path builds the group's initial state once and simulates
-        every spec on a private clone; a failed build fails the whole group.
-        A custom ``run_fn`` is called per spec.
+        Successful records are persisted with one ``put_many`` BEFORE their
+        handles leave the in-flight table: a concurrent submit always sees a
+        spec either in flight or in the cache, never in the gap between the
+        two.  Persistence is best-effort: a failing store must not strand
+        the waiters.
         """
-        base = None
-        if self._run_fn is execute_run:
-            try:
-                base = build_initial_state(group[0].spec)
-            except BaseException as error:  # noqa: BLE001 - forwarded to waiters
-                for handle in group:
-                    self._complete(handle, error=error)
-                return
-        for handle in group:
-            try:
-                if base is None:
-                    record = self._run_fn(handle.spec)
-                else:
-                    record = simulate_from(base.clone(), handle.spec)
-            except BaseException as error:  # noqa: BLE001 - forwarded to waiters
-                self._complete(handle, error=error)
-            else:
-                self._complete(handle, record=record)
-
-    def _complete(
-        self,
-        handle: RunHandle,
-        record: Optional[RunRecord] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        """Publish one spec's outcome and retire it from the in-flight table."""
-        if error is None and self.cache is not None:
-            # Publish to the cache BEFORE leaving the in-flight table: a
-            # concurrent submit always sees the spec either in flight or in
-            # the cache, never in the gap between the two.  Persistence is
-            # best-effort: a failing store must not strand the waiters.
+        specs = [handle.spec for handle in group]
+        interrupt: Optional[BaseException] = None
+        try:
+            outcomes = self._outcomes(specs)
+        except BaseException as error:  # noqa: BLE001 - re-raised in every waiter
+            # The group's waiters must hear of any failure, or they hang; an
+            # interrupt is re-raised here too once they have.
+            outcomes = [error] * len(specs)
+            if not isinstance(error, Exception):
+                interrupt = error
+        records = [outcome for outcome in outcomes if isinstance(outcome, RunRecord)]
+        if records and self.cache is not None:
             with contextlib.suppress(Exception):
-                self.cache.put(record)
+                self.cache.put_many(records)
         with self._lock:
-            if error is None:
-                self._executed += 1
+            self._executed += len(records)
+            self._failed += len(outcomes) - len(records)
+            for handle in group:
+                self._inflight.pop(handle.key, None)
+        for handle, outcome in zip(group, outcomes):
+            if isinstance(outcome, RunRecord):
+                handle._resolve(outcome)
             else:
-                self._failed += 1
-            self._inflight.pop(handle.key, None)
-        if error is None:
-            handle._resolve(record)
-        else:
-            handle._fail(error)
+                handle._fail(outcome)
+        if interrupt is not None:
+            raise interrupt
+
+    def _outcomes(self, specs: List[RunSpec]) -> List[Outcome]:
+        """One outcome per spec: in-process, or from a pool worker."""
+        if self._run_fn is not execute_run:
+            return [_call(self._run_fn, spec) for spec in specs]
+        if self.workers == 1:
+            return _run_group(specs)
+        pool, future = self._submit(specs)
+        try:
+            return future.result()
+        except BrokenProcessPool as error:
+            with self._pool_lock:
+                if self._pool is pool:
+                    self._pool = None
+            pool.shutdown(wait=True)
+            raise RuntimeError(
+                f"a broker worker process died while running a group of "
+                f"{len(specs)} spec(s) (scenario seed {specs[0].scenario.seed}); "
+                "the next group runs on a freshly forked pool"
+            ) from error
+
+    def _submit(self, specs: List[RunSpec]) -> tuple:
+        """Submit one group to the persistent pool; returns ``(pool, future)``.
+
+        Workers are forked, so they inherit the scheme registry as it stood
+        at fork time, including registrations made after import.  A scheme
+        registered, replaced or removed since then must reach fresh workers,
+        so a changed registry retires the pool (after its running groups
+        finish) and forks a new one.  A pool that broke while idle (a worker
+        killed from outside) is replaced the same way.  Submitting under the
+        lock keeps another dispatcher from retiring the pool in between.
+        """
+        registry = dict(SCHEME_REGISTRY)
+        with self._pool_lock:
+            pool = self._pool
+            if pool is not None and registry != self._pool_registry:
+                pool.shutdown(wait=True)
+                pool = None
+            if pool is None:
+                pool = self._fork_pool(registry)
+            try:
+                return pool, pool.submit(_run_group, specs)
+            except BrokenProcessPool:
+                pool.shutdown(wait=True)
+                pool = self._fork_pool(registry)
+                return pool, pool.submit(_run_group, specs)
+
+    def _fork_pool(self, registry: Dict[str, object]) -> ProcessPoolExecutor:
+        """A new worker pool for ``registry`` (called with the pool lock held)."""
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=multiprocessing.get_context("fork")
+        )
+        self._pool_registry = registry
+        return self._pool
 
 
-# ------------------------------------------------------------------- batches
-def execute_batch(
-    specs: Sequence[RunSpec],
-    executor: Optional[RunExecutor] = None,
-    cache: Optional[RunCache] = None,
-) -> List[RunRecord]:
-    """One-shot broker admission for a static spec list.
-
-    Applies the broker's cache-first + dedup policy without standing up
-    worker threads: identical specs within the batch collapse onto one
-    simulation (``execute_run`` is deterministic, so the shared record is
-    exactly what each duplicate would have produced), cached specs are
-    answered from the store, and only the remaining unique misses are driven
-    through ``executor`` — preserving process-level ``--jobs`` parallelism
-    and the executor's ``runs_executed`` accounting.
-
-    Records come back in spec order; cache hits are flagged ``cached``.
-    """
-    specs = list(specs)
-    executor = executor if executor is not None else SerialExecutor()
-
-    # In-batch dedup: first occurrence of each run_key owns the execution.
-    keys = [run_key(spec) for spec in specs]
-    owner_index: Dict[str, int] = {}
-    for index, key in enumerate(keys):
-        owner_index.setdefault(key, index)
-
-    resolved: Dict[str, RunRecord] = {}
-    missing: List[RunSpec] = []
-    owner_specs = [specs[index] for index in owner_index.values()]
-    hits = (
-        cache.get_many(owner_specs)
-        if cache is not None
-        else [None] * len(owner_specs)
-    )
-    for key, spec, hit in zip(owner_index.keys(), owner_specs, hits):
-        if hit is not None:
-            resolved[key] = dataclasses.replace(hit, cached=True)
-        else:
-            missing.append(spec)
-
-    if missing:
-        fresh = executor.run_all(missing)
-        if cache is not None:
-            # One transactional commit for the whole sweep's fresh records
-            # instead of a write per record.
-            cache.put_many(fresh)
-        for record in fresh:
-            resolved[run_key(record.spec)] = record
-    return [resolved[key] for key in keys]
+def _call(run_fn: Callable[[RunSpec], RunRecord], spec: RunSpec) -> Outcome:
+    """``run_fn(spec)``, or the exception it raised."""
+    try:
+        return run_fn(spec)
+    except Exception as error:  # noqa: BLE001 - re-raised in the spec's waiters
+        return error

@@ -34,21 +34,17 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import analysis
-from repro.experiments.broker import execute_batch
+from repro.experiments.broker import ExperimentBroker
 from repro.experiments.fuzz import (
     FuzzSample,
     ScenarioSampler,
     minimize_scenario,
     validate_roundtrip,
 )
-from repro.experiments.orchestration import (
-    RunExecutor,
-    RunRecord,
-    execute_run,
-)
+from repro.experiments.orchestration import RunRecord, execute_many, execute_run
 from repro.experiments.persistence import RunCache, record_to_dict
 from repro.experiments.registry import available_schemes
 from repro.experiments.scenario_files import Scenario, dump_scenario
@@ -270,7 +266,7 @@ def check_clone_identity(context: DifferentialContext) -> List[str]:
     """Records simulated on a clone must be byte-identical to from-scratch runs.
 
     The harness batch runs every scenario group on clones of one shared
-    build (executors and broker alike); its first-trial SR record is
+    build (the broker's scenario groups); its first-trial SR record is
     compared in canonical persisted form against the from-scratch
     ``sequential`` run of the same spec.  Schemes run in registry order, so
     SR simulates after AR and SMART have mutated their clones of the same
@@ -335,26 +331,21 @@ class DifferentialReport:
 
 def run_differential(
     scenario: Scenario,
-    executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[object] = None,
+    broker: Optional[ExperimentBroker] = None,
     oracles: Sequence[Oracle] = ORACLES,
 ) -> DifferentialReport:
     """Run every registered scheme on ``scenario`` and evaluate the oracles.
 
     The scenario's scheme list is replaced by the full registry so every
-    scheme sees the identical deployment; records flow through the broker
-    layer (``broker`` when given, otherwise the one-shot
-    :func:`~repro.experiments.broker.execute_batch` admission over
-    ``executor``/``cache``).
+    scheme sees the identical deployment; records flow through
+    :func:`~repro.experiments.orchestration.execute_many` (``broker`` when
+    given, otherwise a one-shot in-process broker over ``cache``).
     """
     schemes = available_schemes()
     harness_scenario = dataclasses.replace(scenario, schemes=schemes)
     specs = harness_scenario.run_specs()
-    if broker is not None:
-        records = broker.run(specs)
-    else:
-        records = execute_batch(specs, executor=executor, cache=cache)
+    records = execute_many(specs, cache=cache, broker=broker)
 
     sequential: Optional[RunRecord] = None
     sr_spec = next((spec for spec in specs if spec.scheme == "SR"), None)
@@ -441,9 +432,9 @@ def run_fuzz(
     seed: int,
     samples: Optional[int] = None,
     minutes: Optional[float] = None,
-    archive_dir: Optional[Path] = None,
-    executor: Optional[RunExecutor] = None,
+    archive_dir: Optional[Union[str, Path]] = None,
     cache: Optional[RunCache] = None,
+    broker: Optional[ExperimentBroker] = None,
     minimize_budget: int = 32,
     log: Callable[[str], None] = lambda message: None,
 ) -> FuzzSessionResult:
@@ -459,6 +450,7 @@ def run_fuzz(
     """
     if samples is None and minutes is None:
         raise ValueError("run_fuzz needs a samples count or a minutes budget")
+    archive_dir = Path(archive_dir) if archive_dir is not None else None
     sampler = ScenarioSampler(seed)
     result = FuzzSessionResult(seed=seed)
     deadline = (
@@ -472,9 +464,7 @@ def run_fuzz(
             break
         sample = sampler.sample(index)
         validate_roundtrip(sample.scenario)
-        report = run_differential(
-            sample.scenario, executor=executor, cache=cache
-        )
+        report = run_differential(sample.scenario, cache=cache, broker=broker)
         result.samples_run += 1
         result.reports.append(report)
         for outcome in report.violated:
@@ -483,7 +473,7 @@ def run_fuzz(
                 f"violated — {outcome.violations[0]}"
             )
             falsifier = _minimize_falsifier(
-                sample, outcome, executor=executor, cache=cache,
+                sample, outcome, cache=cache, broker=broker,
                 budget=minimize_budget,
             )
             if archive_dir is not None:
@@ -497,8 +487,8 @@ def run_fuzz(
 def _minimize_falsifier(
     sample: FuzzSample,
     outcome: OracleOutcome,
-    executor: Optional[RunExecutor],
     cache: Optional[RunCache],
+    broker: Optional[ExperimentBroker],
     budget: int,
 ) -> FalsifiedScenario:
     """Shrink the sample under "the same oracle still fires" and wrap it."""
@@ -507,7 +497,7 @@ def _minimize_falsifier(
     def still_fails(candidate: Scenario) -> bool:
         """Whether the falsified oracle still fires on the shrunk candidate."""
         report = run_differential(
-            candidate, executor=executor, cache=cache, oracles=(oracle,)
+            candidate, cache=cache, broker=broker, oracles=(oracle,)
         )
         return not report.outcomes[0].passed
 
@@ -515,7 +505,7 @@ def _minimize_falsifier(
         sample.scenario, still_fails, max_evaluations=budget
     )
     final = run_differential(
-        minimized, executor=executor, cache=cache, oracles=(oracle,)
+        minimized, cache=cache, broker=broker, oracles=(oracle,)
     )
     return FalsifiedScenario(
         oracle=outcome.name,

@@ -19,7 +19,7 @@ paper-versus-measured comparison.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from repro.core import analysis
 from repro.core.hamilton import (
@@ -27,13 +27,15 @@ from repro.core.hamilton import (
     SerpentineHamiltonCycle,
     build_hamilton_cycle,
 )
-from repro.experiments.orchestration import RunExecutor
 from repro.experiments.persistence import RunCache
 from repro.experiments.results import ExperimentResult
 from repro.experiments.sweep import run_comparison
 from repro.grid.virtual_grid import VirtualGrid
 from repro.sim.scenario import ScenarioConfig
 from repro.viz.ascii_grid import render_cycle, render_dual_paths
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.broker import ExperimentBroker
 
 #: Spare-surplus sweep roughly matching the paper's x-axis (N from 10 to 1000).
 PAPER_SPARE_VALUES: List[int] = [10, 25, 55, 100, 200, 300, 400, 600, 800, 1000]
@@ -151,9 +153,8 @@ def run_section5_experiment(
     trials: int = 1,
     max_rounds: Optional[int] = None,
     schemes: Sequence[str] = ("SR", "AR"),
-    executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[object] = None,
+    broker: Optional[ExperimentBroker] = None,
 ) -> ExperimentResult:
     """The shared SR-versus-AR sweep behind Figures 6, 7 and 8.
 
@@ -163,13 +164,12 @@ def run_section5_experiment(
     movements per hole is Theorem 2's ``M(N, L)`` and the per-hop distance is
     ``1.08 * r``, both multiplied by the number of holes in the scenario.
 
-    ``executor``, ``cache``, and ``broker`` are forwarded to the sweep
-    runner, so the three figure scripts sharing this sweep can run it in
-    parallel and reuse each other's persisted run records — and the serve
-    layer can answer figure queries through its long-running broker.  Cold
-    cells additionally share one initial-state build per (N, trial) scenario:
-    the executors and the broker run each scenario group on clones of one
-    build.
+    ``cache`` and ``broker`` are forwarded to the sweep runner, so the
+    three figure scripts sharing this sweep can run it on a worker pool and
+    reuse each other's persisted run records — and the serve layer can
+    answer figure queries through its long-running broker.  Cold cells
+    additionally share one initial-state build per (N, trial) scenario: the
+    broker runs each scenario group on clones of one build.
     """
     spare_values = list(spare_values) if spare_values is not None else list(PAPER_SPARE_VALUES)
     config = config if config is not None else SECTION5_CONFIG
@@ -179,7 +179,6 @@ def run_section5_experiment(
         schemes=schemes,
         trials=trials,
         max_rounds=max_rounds,
-        executor=executor,
         cache=cache,
         broker=broker,
     )

@@ -17,7 +17,7 @@ spare selection) live longer on the same battery budget.
 Everything runs through the ordinary orchestration layer —
 :class:`~repro.experiments.orchestration.RunSpec` cells with a frozen
 :class:`~repro.network.energy.EnergyModel` attached — so lifetime sweeps are
-cacheable and serial/parallel byte-identical like every other experiment.
+cacheable and byte-identical at any worker count like every other experiment.
 """
 
 from __future__ import annotations
@@ -25,14 +25,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.orchestration import (
-    RunExecutor,
-    RunRecord,
-    RunSpec,
-    SerialExecutor,
-    execute_many,
-    make_executor,
-)
+from repro.experiments.broker import ExperimentBroker
+from repro.experiments.orchestration import RunRecord, RunSpec, execute_many
 from repro.experiments.persistence import RunCache, record_to_dict
 from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
@@ -151,9 +145,8 @@ def run_lifetime_experiment(
     energy: Optional[EnergyModel] = None,
     trials: int = 1,
     max_rounds: int = 1500,
-    executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[object] = None,
+    broker: Optional[ExperimentBroker] = None,
 ) -> ExperimentResult:
     """Run every scheme to network death and tabulate lifetimes.
 
@@ -166,8 +159,8 @@ def run_lifetime_experiment(
     hole (or the bound); ``stalled``/``exhausted`` are the fractions of trials
     that ended in each way (a run can be both when the bound hits with holes).
     Pass ``broker`` to route the cells through a long-running
-    :class:`~repro.experiments.broker.ExperimentBroker` instead of a private
-    executor/cache pair.
+    :class:`~repro.experiments.broker.ExperimentBroker` instead of a
+    one-shot in-process one over ``cache``.
     """
     config = config if config is not None else LIFETIME_CONFIG
     energy = energy if energy is not None else LIFETIME_ENERGY
@@ -178,7 +171,7 @@ def run_lifetime_experiment(
         trials=trials,
         max_rounds=max_rounds,
     )
-    records = execute_many(specs, executor=executor, cache=cache, broker=broker)
+    records = execute_many(specs, cache=cache, broker=broker)
 
     result = ExperimentResult(
         name=f"lifetime comparison on {config.columns}x{config.rows} grid",
@@ -234,10 +227,11 @@ def run_lifetime_smoke(jobs: int = 2) -> List[str]:
     """CI gate for the energy round loop; returns failure messages (empty = OK).
 
     Executes the fixed :data:`SMOKE_CONFIG` workload three times — twice
-    serially and once across ``jobs`` worker processes — and checks that
+    in-process and once on a broker with ``jobs`` worker processes — and
+    checks that
 
     * the three batches of records are byte-identical once serialized
-      (depletion determinism, serial/parallel equivalence), and
+      (depletion determinism, in-process/pool equivalence), and
     * every record shows the energy physics actually coupled to the round
       loop: a non-empty, decreasing per-round energy series, engine-depleted
       nodes, and repair movement responding to the depletion holes.
@@ -250,9 +244,10 @@ def run_lifetime_smoke(jobs: int = 2) -> List[str]:
         """Canonical JSON form of the records, for byte-identity comparison."""
         return json.dumps([record_to_dict(r) for r in records], sort_keys=True)
 
-    serial = execute_many(specs, executor=SerialExecutor())
-    repeat = execute_many(specs, executor=SerialExecutor())
-    parallel = execute_many(specs, executor=make_executor(max(2, jobs)))
+    serial = execute_many(specs)
+    repeat = execute_many(specs)
+    with ExperimentBroker(workers=max(2, jobs)) as broker:
+        parallel = execute_many(specs, broker=broker)
 
     failures: List[str] = []
     if canonical(serial) != canonical(repeat):

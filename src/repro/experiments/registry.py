@@ -33,8 +33,8 @@ from repro.core.replacement import HamiltonReplacementController
 from repro.network.state import WsnState
 
 #: A factory takes the network state and returns a fresh controller bound to
-#: its grid.  Factories must be importable (module-level callables) if their
-#: scheme is to be run by the parallel executor.
+#: its grid.  Broker pool workers are forked, so they inherit every
+#: registration made before the pool starts; any callable works.
 SchemeFactory = Callable[[WsnState], MobilityController]
 
 #: The registry itself.  ``repro.experiments.sweep.SCHEME_FACTORIES`` aliases
@@ -128,10 +128,8 @@ register_scheme("VF", _vf_factory)
 register_scheme("SMART", _smart_factory)
 
 #: Snapshot of the registrations every process gets at import time.  The
-#: parallel executor uses it to work out which registrations it must ship to
-#: worker processes (anything added or replaced after import), and the cache
-#: uses factory identity to avoid serving records simulated by a factory
-#: that has since been shadowed.
+#: cache uses factory identity to avoid serving records simulated by a
+#: factory that has since been shadowed.
 BUILTIN_FACTORIES: Dict[str, SchemeFactory] = dict(SCHEME_REGISTRY)
 
 

@@ -9,8 +9,8 @@ failure schedule (:class:`~repro.network.failures.FailureEvent` entries), an
 optional :class:`~repro.network.energy.EnergyModel`, the schemes to run, and
 the trial/round bookkeeping.  The document **compiles into ordinary**
 :class:`~repro.experiments.orchestration.RunSpec` **cells**
-(:meth:`Scenario.run_specs`), so scenario files are executable by any
-executor, sweepable, and cacheable through
+(:meth:`Scenario.run_specs`), so scenario files are executable through the
+broker, sweepable, and cacheable through
 :class:`~repro.experiments.persistence.RunCache` — a scenario-file run and
 the equivalent programmatic spec hit the same cache entries.
 
@@ -63,9 +63,9 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.experiments.orchestration import RunExecutor, RunRecord, RunSpec, execute_many
+from repro.experiments.orchestration import RunRecord, RunSpec, execute_many
 from repro.experiments.persistence import RunCache
 from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
@@ -80,6 +80,9 @@ from repro.network.failures import (
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 from repro.sim.rng import spawn_seeds
 from repro.sim.scenario import ScenarioConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.broker import ExperimentBroker
 
 __all__ = [
     "SCENARIO_FORMAT_VERSION",
@@ -268,19 +271,17 @@ class Scenario:
 
     def execute(
         self,
-        executor: Optional[RunExecutor] = None,
         cache: Optional[RunCache] = None,
-        broker: Optional[object] = None,
+        broker: Optional[ExperimentBroker] = None,
     ) -> List[RunRecord]:
         """Run every spec of the scenario and return the records in spec order.
 
         ``broker`` routes the specs through a long-running
         :class:`~repro.experiments.broker.ExperimentBroker` (the serve layer
-        uses this); otherwise the one-shot ``executor``/``cache`` pair applies.
+        and the CLI use this); otherwise a one-shot in-process broker over
+        ``cache`` runs them.
         """
-        return execute_many(
-            self.run_specs(), executor=executor, cache=cache, broker=broker
-        )
+        return execute_many(self.run_specs(), cache=cache, broker=broker)
 
     # -------------------------------------------------------------- variants
     def with_spare_surplus(self, spare_surplus: int) -> "Scenario":

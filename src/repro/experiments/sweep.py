@@ -8,12 +8,12 @@ that sweep once so the three figures (and the extension benchmarks) can share
 the data.
 
 The sweep is expressed as a batch of
-:class:`~repro.experiments.orchestration.RunSpec` cells executed through a
-pluggable :class:`~repro.experiments.orchestration.RunExecutor` — pass
-``executor=ParallelExecutor(jobs)`` to spread the cells over worker processes
-(results are identical to serial execution for the same seeds), and
-``cache=RunCache(dir)`` to skip cells whose records were already persisted by
-an earlier sweep.
+:class:`~repro.experiments.orchestration.RunSpec` cells executed through
+:func:`~repro.experiments.orchestration.execute_many` — pass
+``broker=ExperimentBroker(workers=jobs)`` to spread the cells' scenario
+groups over worker processes (results are identical to in-process execution
+for the same seeds), and ``cache=RunCache(dir)`` to skip cells whose records
+were already persisted by an earlier sweep.
 
 Scheme names are resolved through :mod:`repro.experiments.registry`;
 ``SCHEME_FACTORIES`` remains as a backwards-compatible alias of the registry
@@ -23,14 +23,9 @@ dict.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.experiments.orchestration import (
-    RunExecutor,
-    RunRecord,
-    RunSpec,
-    execute_many,
-)
+from repro.experiments.orchestration import RunRecord, RunSpec, execute_many
 from repro.experiments.persistence import RunCache
 from repro.experiments.registry import (
     SCHEME_REGISTRY as SCHEME_FACTORIES,
@@ -43,6 +38,9 @@ from repro.sim.engine import run_recovery
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import spawn_seeds
 from repro.sim.scenario import ScenarioConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.broker import ExperimentBroker
 
 __all__ = [
     "SCHEME_FACTORIES",
@@ -86,7 +84,7 @@ def build_comparison_specs(
     the comparison the paper performs.
 
     Schemes are innermost, so specs sharing a scenario are consecutive: the
-    scenario grouping of the executors and the broker builds each
+    broker's scenario grouping builds each
     (N, trial) network exactly once for the whole scheme set.
     """
     if trials < 1:
@@ -118,9 +116,8 @@ def run_comparison(
     schemes: Sequence[str] = ("SR", "AR"),
     trials: int = 1,
     max_rounds: Optional[int] = None,
-    executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[object] = None,
+    broker: Optional[ExperimentBroker] = None,
 ) -> ExperimentResult:
     """Sweep ``N`` over ``spare_values`` and run every scheme on identical scenarios.
 
@@ -131,16 +128,16 @@ def run_comparison(
         <scheme>_processes, <scheme>_success_rate, <scheme>_moves,
         <scheme>_distance, <scheme>_failed, <scheme>_final_holes   (per scheme)
 
-    ``executor`` selects the execution strategy (default: serial in-process);
-    ``cache`` reuses persisted records for previously executed specs; pass
-    ``broker`` instead to route the cells through a long-running
-    :class:`~repro.experiments.broker.ExperimentBroker` (shared cache,
-    cross-caller in-flight dedup).
+    ``cache`` reuses persisted records for previously executed specs (the
+    cells then run in-process); pass ``broker`` instead to route the cells
+    through a long-running
+    :class:`~repro.experiments.broker.ExperimentBroker` (its cache, its
+    worker pool, cross-caller in-flight dedup).
     """
     specs = build_comparison_specs(
         config, spare_values, schemes=schemes, trials=trials, max_rounds=max_rounds
     )
-    records = execute_many(specs, executor=executor, cache=cache, broker=broker)
+    records = execute_many(specs, cache=cache, broker=broker)
 
     columns: List[str] = ["N", "holes", "spares", "enabled"]
     for scheme in schemes:

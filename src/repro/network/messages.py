@@ -12,8 +12,7 @@ explicitly; the paper's synchronisation assumption is ``latency = 1``.
 Message ids are assigned by the :class:`Mailbox` that queues them, not by a
 process-global counter: every run owns its own mailbox (through its channel),
 so traces are deterministic for a given spec regardless of how many runs the
-process executed before, and identical across :class:`~repro.experiments.orchestration.ParallelExecutor`
-workers.
+process executed before, and identical across broker pool workers.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ dependencies) whose handler threads share one
 
 Identical concurrent ``POST /run`` requests collapse onto one simulation
 (the broker's in-flight dedup), so a thundering herd of the same query costs
-one run plus N-1 table lookups.
+one run plus N-1 table lookups.  Cache misses simulate in the broker's
+worker processes (``workers > 1``); streamed runs simulate in their handler
+thread, because the per-round observer writes to this process's socket.
 """
 
 from __future__ import annotations
@@ -80,6 +82,16 @@ DEFAULT_PORT = 8008
 #: spec document is well under a kilobyte.
 MAX_BODY_BYTES = 64 * 1024
 
+#: Largest virtual grid (``columns * rows`` cells) and largest deployment a
+#: ``POST /run`` may ask for: the 256x256 tier at 3 nodes per cell, the top
+#: size the scaling benchmark runs in CI.  A spec over either bound is
+#: answered 413 before any state is built.
+MAX_GRID_CELLS = 256 * 256
+MAX_DEPLOYED_COUNT = 256 * 256 * 3
+
+#: ``Retry-After`` seconds sent with a 429 when the broker queue is full.
+RETRY_AFTER_SECONDS = 1
+
 #: Seconds any single read or write on a request's socket may block.  A body
 #: shorter than its declared ``Content-Length`` would otherwise hold its
 #: handler thread until the client closes; on timeout the handler drops the
@@ -107,10 +119,12 @@ class ServeConfig:
         ``"sqlite"`` (default — the concurrent-safe choice for a shared
         long-running store) or ``"json"``.
     workers:
-        Broker worker threads simulating cache misses.
+        Broker worker processes simulating cache misses (``1`` simulates in
+        the server process instead).
     queue_limit:
-        Bound on queued-but-not-running specs; past it, ``POST /run``
-        answers HTTP 503 instead of buffering unboundedly.
+        Bound on queued-but-not-running specs; past it, ``POST /run``,
+        ``/figure`` and ``/scenario`` answer HTTP 429 with a ``Retry-After``
+        header instead of buffering unboundedly.
     verbose:
         Log one line per request to stderr.
     """
@@ -132,7 +146,9 @@ def spec_from_request(payload: object) -> RunSpec:
     seed, and ``channel`` additionally accepts the CLI's compact string form
     (``"lossy:0.2"``).  Raises ``ValueError`` on anything malformed,
     including a scheme that is not registered — the handler maps that to
-    HTTP 400 before any state is built.
+    HTTP 400 before any state is built — and :class:`RequestBodyError`
+    (413) for a grid above :data:`MAX_GRID_CELLS` cells or a deployment
+    above :data:`MAX_DEPLOYED_COUNT` nodes.
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
@@ -159,9 +175,23 @@ def spec_from_request(payload: object) -> RunSpec:
     body.setdefault("failures", [])
     body.setdefault("channel", None)
     try:
-        return spec_from_dict(body)
+        spec = spec_from_dict(body)
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"malformed run spec: {error}") from error
+    scenario = spec.scenario
+    if scenario.columns * scenario.rows > MAX_GRID_CELLS:
+        raise RequestBodyError(
+            413,
+            f"a {scenario.columns}x{scenario.rows} grid exceeds the "
+            f"{MAX_GRID_CELLS}-cell limit",
+        )
+    if scenario.deployed_count > MAX_DEPLOYED_COUNT:
+        raise RequestBodyError(
+            413,
+            f"{scenario.deployed_count} deployed nodes exceed the "
+            f"{MAX_DEPLOYED_COUNT}-node limit",
+        )
+    return spec
 
 
 def _result_payload(result: ExperimentResult) -> Dict[str, object]:
@@ -226,7 +256,7 @@ class ExperimentServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def close(self) -> None:
-        """Shut down the broker and release the (possibly temporary) store."""
+        """Shut down the broker (reaping its worker pool) and release the store."""
         self.broker.shutdown(wait=True)
         self.server_close()
         if self._temp_dir is not None:
@@ -262,18 +292,28 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if self.server.config.verbose:
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: object) -> None:
-        """One complete JSON response."""
+    def _send_json(
+        self, status: int, payload: object, headers: Optional[Dict[str, str]] = None
+    ) -> None:
+        """One complete JSON response, with any extra ``headers``."""
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
     def _send_error_json(self, status: int, message: str) -> None:
         """A JSON error envelope."""
         self._send_json(status, {"error": message})
+
+    def _send_queue_full(self, error: BrokerQueueFull) -> None:
+        """429 with a ``Retry-After`` hint: the broker queue is at its bound."""
+        self._send_json(
+            429, {"error": str(error)}, {"Retry-After": str(RETRY_AFTER_SECONDS)}
+        )
 
     def _route(self) -> Tuple[str, List[str], Dict[str, List[str]]]:
         """Split the request target into (path, segments, query dict)."""
@@ -328,7 +368,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except BrokenPipeError:
             pass
         except BrokerQueueFull as error:
-            self._send_error_json(503, str(error))
+            self._send_queue_full(error)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """Dispatch the mutating endpoints (``/run``, ``/shutdown``)."""
@@ -344,7 +384,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except BrokenPipeError:
             pass
         except BrokerQueueFull as error:
-            self._send_error_json(503, str(error))
+            self._send_queue_full(error)
 
     # ------------------------------------------------------------- handlers
     def _handle_stats(self) -> None:
@@ -547,7 +587,7 @@ def serve_forever(config: ServeConfig) -> int:
     )
     print(
         f"repro experiment service on {server.url} "
-        f"({config.workers} workers, {cache_note}); Ctrl-C to stop"
+        f"({config.workers} worker processes, {cache_note}); Ctrl-C to stop"
     )
     try:
         server.serve_forever()

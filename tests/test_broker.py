@@ -7,34 +7,27 @@ The contracts exercised here:
 * interactive submissions overtake queued batch work;
 * a bounded queue rejects overload with :class:`BrokerQueueFull` instead of
   buffering unboundedly;
-* records produced through the broker are byte-identical to a plain
-  :class:`SerialExecutor` run of the same specs;
+* records produced through the broker, in-process or on its worker pool,
+  are byte-identical to per-spec ``execute_run`` records;
 * ``execute_many`` collapses duplicate specs within one batch onto a single
   execution while preserving spec order in the returned records;
 * a batch's consecutive same-scenario specs share one initial-state build,
   a failing spec fails only its own handle, a ``BrokerQueueFull`` part-way
   through a batch still queues what it admitted, and a failing store never
-  strands a waiter or kills a worker.
+  strands a waiter or kills a worker;
+* a pool worker that dies fails only its group, and the next group runs on
+  a freshly forked pool.
 """
 
 import json
+import os
 import threading
 import time
 
 import pytest
 
-from repro.experiments.broker import (
-    BrokerQueueFull,
-    ExperimentBroker,
-    Priority,
-    execute_batch,
-)
-from repro.experiments.orchestration import (
-    RunSpec,
-    SerialExecutor,
-    execute_many,
-    execute_run,
-)
+from repro.experiments.broker import BrokerQueueFull, ExperimentBroker, Priority
+from repro.experiments.orchestration import RunSpec, execute_many, execute_run
 from repro.experiments.persistence import RunCache, record_to_dict, run_key
 from repro.sim.scenario import ScenarioConfig
 
@@ -181,12 +174,13 @@ def canonical(records):
 
 
 def test_broker_records_match_serial_executor(tmp_path):
-    """Acceptance: broker output is byte-identical to SerialExecutor output."""
+    """Acceptance: broker output is byte-identical to per-spec execution."""
     specs = [quick_spec(scheme=s, seed=seed) for s in ("SR", "AR") for seed in (1, 2)]
-    serial = execute_many(specs, executor=SerialExecutor())
-    with ExperimentBroker(cache=RunCache(tmp_path), workers=3) as broker:
-        brokered = broker.run(specs)
-    assert canonical(serial) == canonical(brokered)
+    serial = [execute_run(spec) for spec in specs]
+    for workers in (1, 2):
+        with ExperimentBroker(cache=RunCache(tmp_path / str(workers)), workers=workers) as broker:
+            brokered = broker.run(specs)
+        assert canonical(serial) == canonical(brokered)
 
 
 # -------------------------------------------------------------- in-batch dedup
@@ -195,9 +189,9 @@ def test_execute_many_collapses_duplicate_specs(tmp_path):
     base = quick_spec()
     other = quick_spec(scheme="AR")
     specs = [base, other, base, base]
-    executor = SerialExecutor()
-    records = execute_many(specs, executor=executor, cache=RunCache(tmp_path))
-    assert executor.runs_executed == 2
+    with ExperimentBroker(cache=RunCache(tmp_path)) as broker:
+        records = execute_many(specs, broker=broker)
+    assert broker.stats().executed == 2
     assert len(records) == 4
     assert canonical([records[0]]) == canonical([records[2]]) == canonical([records[3]])
     assert records[1].spec.scheme == "AR"
@@ -208,22 +202,22 @@ def test_execute_many_collapses_duplicate_specs(tmp_path):
 
 def test_execute_many_dedup_works_without_a_cache():
     base = quick_spec()
-    executor = SerialExecutor()
-    records = execute_many([base, base], executor=executor)
-    assert executor.runs_executed == 1
+    with ExperimentBroker() as broker:
+        records = execute_many([base, base], broker=broker)
+    assert broker.stats().executed == 1
     assert canonical([records[0]]) == canonical([records[1]])
 
 
-def test_execute_batch_mixes_cache_hits_and_misses(tmp_path):
+def test_execute_many_mixes_cache_hits_and_misses(tmp_path):
     cache = RunCache(tmp_path)
     cached_spec = quick_spec()
     cache.put(execute_run(cached_spec))
-    executor = SerialExecutor()
-    records = execute_batch(
-        [cached_spec, quick_spec(scheme="AR")], executor=executor, cache=cache
-    )
+    with ExperimentBroker(cache=cache) as broker:
+        records = execute_many([cached_spec, quick_spec(scheme="AR")], broker=broker)
     assert records[0].cached and not records[1].cached
-    assert executor.runs_executed == 1
+    assert broker.stats().executed == 1
+    # The one-shot path writes the fresh record too.
+    assert execute_many([quick_spec(scheme="AR")], cache=cache)[0].cached
 
 
 def test_execute_many_routes_through_a_broker(tmp_path):
@@ -231,7 +225,7 @@ def test_execute_many_routes_through_a_broker(tmp_path):
     with ExperimentBroker(cache=RunCache(tmp_path), workers=2) as broker:
         records = execute_many(specs, broker=broker)
         again = execute_many(specs, broker=broker)
-    assert canonical(records) == canonical(execute_many(specs, executor=SerialExecutor()))
+    assert canonical(records) == canonical(execute_many(specs))
     assert all(record.cached for record in again)
 
 
@@ -264,12 +258,12 @@ def counting_builds(monkeypatch):
 def test_broker_builds_each_scenario_group_once(monkeypatch):
     builds = counting_builds(monkeypatch)
     specs = grouped_specs()
-    with ExperimentBroker(workers=2) as broker:
+    with ExperimentBroker(workers=1) as broker:  # in-process: builds are visible
         brokered = broker.run(specs)
         stats = broker.stats()
-    assert sorted(builds) == [5, 15]
+    assert builds == [5, 15]
     assert stats.executed == len(specs) and stats.pending == 0
-    assert canonical(brokered) == canonical(SerialExecutor().run_all(specs))
+    assert canonical(brokered) == canonical([execute_run(spec) for spec in specs])
 
 
 def test_single_submits_are_groups_of_one(monkeypatch):
@@ -297,12 +291,12 @@ def test_a_failing_spec_fails_only_its_own_handle(monkeypatch):
 
 
 def test_a_failed_build_fails_the_whole_group(monkeypatch):
-    import repro.experiments.broker as broker_module
+    import repro.experiments.orchestration as orchestration
 
     def broken_build(spec):
         raise RuntimeError("deployment exploded")
 
-    monkeypatch.setattr(broker_module, "build_initial_state", broken_build)
+    monkeypatch.setattr(orchestration, "build_initial_state", broken_build)
     specs = [quick_spec(scheme=scheme) for scheme in ("SR", "AR")]
     with ExperimentBroker(workers=1) as broker:
         handles = broker.submit_many(specs)
@@ -343,6 +337,9 @@ class FailingStore(RunCache):
     def put(self, record):
         raise OSError("store is read-only")
 
+    def put_many(self, records):
+        raise OSError("store is read-only")
+
 
 def test_a_failing_store_does_not_kill_the_worker(tmp_path):
     with ExperimentBroker(cache=FailingStore(tmp_path), workers=1) as broker:
@@ -353,3 +350,41 @@ def test_a_failing_store_does_not_kill_the_worker(tmp_path):
         # The worker is still draining: a later submit executes too.
         broker.submit(quick_spec(seed=8)).result(timeout=30)
         assert broker.stats().executed == 2
+
+
+# ---------------------------------------------------------------- worker pool
+def test_pool_workers_fail_only_the_failing_spec():
+    good_sr, good_ar = quick_spec(scheme="SR"), quick_spec(scheme="AR")
+    bad = quick_spec(scheme="no-such-scheme")
+    with ExperimentBroker(workers=2) as broker:
+        handles = broker.submit_many([good_sr, bad, good_ar])
+        with pytest.raises(KeyError, match="no-such-scheme"):
+            handles[1].result(timeout=60)
+        records = [handles[0].result(timeout=60), handles[2].result(timeout=60)]
+        stats = broker.stats()
+    assert canonical(records) == canonical([execute_run(good_sr), execute_run(good_ar)])
+    assert (stats.executed, stats.failed, stats.in_flight) == (2, 1, 0)
+
+
+def _dying_factory(state):
+    """A scheme whose controller construction kills the process running it."""
+    os._exit(1)
+
+
+def test_a_dead_worker_fails_its_group_and_the_pool_is_reforked():
+    from repro.experiments.registry import register_scheme, unregister_scheme
+
+    register_scheme("die-test", _dying_factory)
+    try:
+        with ExperimentBroker(workers=2) as broker:
+            doomed = broker.submit(quick_spec(scheme="die-test"))
+            with pytest.raises(RuntimeError, match="worker process died"):
+                doomed.result(timeout=60)
+            stats = broker.stats()
+            assert (stats.failed, stats.in_flight) == (1, 0)
+            assert broker._pool is None  # the broken pool was dropped
+            record = broker.submit(quick_spec(seed=5)).result(timeout=60)
+    finally:
+        unregister_scheme("die-test")
+    assert canonical([record]) == canonical([execute_run(quick_spec(seed=5))])
+    assert broker.stats().executed == 1

@@ -320,6 +320,12 @@ class TestRunFuzz:
         assert archived.stresses  # the violation detail rides along
         assert "sr-ar-moves" in archived.description
 
+    def test_a_string_archive_dir_is_accepted(self, tmp_path):
+        result = run_fuzz(seed=2, samples=4, archive_dir=str(tmp_path / "archive"))
+        paths = [falsifier.path for falsifier in result.falsifiers]
+        assert paths and all(path.parent == tmp_path / "archive" for path in paths)
+        assert all(path.exists() for path in paths)
+
     def test_equal_seeds_archive_byte_identical_falsifiers(self, tmp_path):
         first_dir = tmp_path / "first"
         second_dir = tmp_path / "second"

@@ -20,7 +20,8 @@ from repro.experiments.lifetime import (
     build_lifetime_specs,
     run_lifetime_experiment,
 )
-from repro.experiments.orchestration import SerialExecutor, execute_many
+from repro.experiments.broker import ExperimentBroker
+from repro.experiments.orchestration import execute_many
 from repro.experiments.persistence import (
     RunCache,
     record_from_dict,
@@ -234,7 +235,7 @@ class TestLifetimeDriver:
         specs = build_lifetime_specs(
             SMOKE_CONFIG, schemes=("SR",), energy=SMOKE_ENERGY, trials=1, max_rounds=400
         )
-        (record,) = execute_many(specs, executor=SerialExecutor())
+        (record,) = execute_many(specs)
         assert record.energy_series, "per-round energy series must be recorded"
         assert record.energy_series[-1] < record.energy_series[0]
         assert record.metrics.energy.depleted_nodes > 0
@@ -245,8 +246,8 @@ class TestLifetimeDriver:
         specs = build_lifetime_specs(
             SMOKE_CONFIG, schemes=("SR", "AR"), energy=SMOKE_ENERGY, trials=1, max_rounds=400
         )
-        first = execute_many(specs, executor=SerialExecutor())
-        second = execute_many(specs, executor=SerialExecutor())
+        first = execute_many(specs)
+        second = execute_many(specs)
         as_json = lambda records: json.dumps(
             [record_to_dict(r) for r in records], sort_keys=True
         )
@@ -257,12 +258,12 @@ class TestLifetimeDriver:
             SMOKE_CONFIG, schemes=("SR",), energy=SMOKE_ENERGY, trials=1, max_rounds=400
         )
         cache = RunCache(tmp_path)
-        (fresh,) = execute_many(specs, executor=SerialExecutor(), cache=cache)
+        (fresh,) = execute_many(specs, cache=cache)
         restored = record_from_dict(record_to_dict(fresh))
         assert restored == fresh
-        executor = SerialExecutor()
-        (cached,) = execute_many(specs, executor=executor, cache=cache)
-        assert executor.runs_executed == 0
+        with ExperimentBroker(cache=cache) as broker:
+            (cached,) = execute_many(specs, broker=broker)
+        assert broker.stats().executed == 0
         assert cached.cached
         assert cached.energy_series == fresh.energy_series
         assert cached.metrics == fresh.metrics

@@ -1,10 +1,11 @@
-"""Tests for the run-orchestration layer: registry, executors, persistence.
+"""Tests for the run-orchestration layer: registry, execution, persistence.
 
 The contracts exercised here are the ones the sweep stack depends on:
 
 * the scheme registry resolves names, rejects duplicates and unknowns;
 * ``execute_run`` is a pure function of its (picklable) ``RunSpec``;
-* serial and parallel executors produce identical records in spec order;
+* an in-process broker and a pool broker produce identical records in spec
+  order, and the pool survives across batches;
 * the run cache round-trips records, treats damage as a miss, and lets a
   repeated sweep finish with zero re-executions.
 """
@@ -15,14 +16,8 @@ import pickle
 
 import pytest
 
-from repro.experiments.orchestration import (
-    ParallelExecutor,
-    RunSpec,
-    SerialExecutor,
-    execute_many,
-    execute_run,
-    make_executor,
-)
+from repro.experiments.broker import ExperimentBroker
+from repro.experiments.orchestration import RunSpec, execute_many, execute_run
 from repro.experiments.persistence import (
     CACHE_FORMAT_VERSION,
     RunCache,
@@ -46,7 +41,7 @@ QUICK_CONFIG = ScenarioConfig(columns=6, rows=6, deployed_count=200, seed=7)
 
 
 def _module_level_sr_factory(state):
-    """Picklable factory for the worker-propagation test (must be top-level)."""
+    """Top-level factory for the pool-worker propagation tests."""
     from repro.core.hamilton import build_hamilton_cycle
     from repro.core.replacement import HamiltonReplacementController
 
@@ -139,7 +134,8 @@ class TestRegistry:
                 )
                 for surplus in (5, 15)
             ]
-            records = ParallelExecutor(2).run_all(specs)
+            with ExperimentBroker(workers=2) as broker:
+                records = broker.run(specs)
         finally:
             unregister_scheme("SR-par-test")
         assert [r.spec for r in records] == specs
@@ -186,35 +182,40 @@ class TestRunSpec:
 
 
 class TestExecutors:
-    def test_make_executor_selects_strategy(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(3), ParallelExecutor)
+    def test_worker_count_selects_in_process_or_pool(self):
+        with ExperimentBroker(workers=1) as broker:
+            broker.run([quick_spec()])
+            assert broker._pool is None  # one worker runs in-process
+        with ExperimentBroker(workers=2) as broker:
+            assert broker._pool is None  # forked lazily, on the first group
+            broker.run([quick_spec()])
+            assert broker._pool is not None
+        assert broker._pool is None  # context exit reaped it
         with pytest.raises(ValueError):
-            ParallelExecutor(0)
+            ExperimentBroker(workers=0)
 
     def test_parallel_matches_serial(self):
         specs = build_comparison_specs(
             QUICK_CONFIG, [5, 15], schemes=("SR", "AR"), trials=2
         )
-        serial = SerialExecutor()
-        parallel = ParallelExecutor(2)
-        serial_records = serial.run_all(specs)
-        parallel_records = parallel.run_all(specs)
-        assert serial.runs_executed == parallel.runs_executed == len(specs)
+        with ExperimentBroker(workers=1) as serial:
+            serial_records = serial.run(specs)
+        with ExperimentBroker(workers=2) as parallel:
+            parallel_records = parallel.run(specs)
+        assert serial.stats().executed == parallel.stats().executed == len(specs)
         assert [r.spec for r in serial_records] == specs
         assert serial_records == parallel_records
 
     def test_run_comparison_parallel_parity(self):
         serial = run_comparison(QUICK_CONFIG, [5, 15], trials=2)
-        parallel = run_comparison(
-            QUICK_CONFIG, [5, 15], trials=2, executor=ParallelExecutor(4)
-        )
+        with ExperimentBroker(workers=2) as broker:
+            parallel = run_comparison(QUICK_CONFIG, [5, 15], trials=2, broker=broker)
         assert serial.columns == parallel.columns
         assert serial.rows == parallel.rows
 
     def test_empty_batch(self):
-        assert ParallelExecutor(2).run_all([]) == []
+        with ExperimentBroker(workers=2) as broker:
+            assert broker.run([]) == []
         assert execute_many([]) == []
 
 
@@ -295,71 +296,63 @@ class TestPersistence:
         )
 
 
+def executed_by(run, cache):
+    """``run(broker)`` on a fresh in-process broker over ``cache``; (result, runs simulated)."""
+    with ExperimentBroker(cache=cache) as broker:
+        result = run(broker)
+    return result, broker.stats().executed
+
+
 class TestCachedSweeps:
     def test_second_pass_executes_nothing(self, tmp_path):
         cache = RunCache(tmp_path)
-        first_executor = SerialExecutor()
-        first = run_comparison(
-            QUICK_CONFIG, [5, 15], trials=2, executor=first_executor, cache=cache
-        )
-        assert first_executor.runs_executed == 8  # 2 N-values x 2 trials x 2 schemes
 
-        second_executor = SerialExecutor()
-        second = run_comparison(
-            QUICK_CONFIG, [5, 15], trials=2, executor=second_executor, cache=cache
-        )
-        assert second_executor.runs_executed == 0
+        def sweep(broker):
+            return run_comparison(QUICK_CONFIG, [5, 15], trials=2, broker=broker)
+
+        first, executed = executed_by(sweep, cache)
+        assert executed == 8  # 2 N-values x 2 trials x 2 schemes
+        second, executed = executed_by(sweep, cache)
+        assert executed == 0
         assert second.rows == first.rows
 
     def test_cache_is_shared_across_overlapping_sweeps(self, tmp_path):
         cache = RunCache(tmp_path)
-        run_comparison(QUICK_CONFIG, [5], executor=SerialExecutor(), cache=cache)
+        run_comparison(QUICK_CONFIG, [5], cache=cache)
         # The [5, 15] sweep shares the N=5 cells with the sweep above.
-        executor = SerialExecutor()
-        run_comparison(QUICK_CONFIG, [5, 15], executor=executor, cache=cache)
-        assert executor.runs_executed == 2  # only the N=15 SR and AR cells
+        _, executed = executed_by(
+            lambda broker: run_comparison(QUICK_CONFIG, [5, 15], broker=broker), cache
+        )
+        assert executed == 2  # only the N=15 SR and AR cells
 
     def test_changed_config_invalidates(self, tmp_path):
         cache = RunCache(tmp_path)
-        run_comparison(QUICK_CONFIG, [5], executor=SerialExecutor(), cache=cache)
-        executor = SerialExecutor()
-        run_comparison(
-            QUICK_CONFIG.with_seed(99), [5], executor=executor, cache=cache
+        run_comparison(QUICK_CONFIG, [5], cache=cache)
+        _, executed = executed_by(
+            lambda broker: run_comparison(QUICK_CONFIG.with_seed(99), [5], broker=broker),
+            cache,
         )
-        assert executor.runs_executed == 2  # nothing reusable under the new seed
+        assert executed == 2  # nothing reusable under the new seed
 
     def test_execute_many_marks_cache_hits(self, tmp_path):
         cache = RunCache(tmp_path)
         specs = [quick_spec(scheme="SR"), quick_spec(scheme="AR")]
         cache.put(execute_run(specs[0]))
-        executor = SerialExecutor()
-        records = execute_many(specs, executor=executor, cache=cache)
+        records, executed = executed_by(
+            lambda broker: execute_many(specs, broker=broker), cache
+        )
         assert [r.spec for r in records] == specs
         assert records[0].cached and not records[1].cached
-        assert executor.runs_executed == 1
+        assert executed == 1
         assert cache.hits == 1 and cache.misses == 1
 
 
 class TestScenarioReuse:
     """The cold-path machinery: scenario grouping, clones, warm pools."""
 
-    def test_group_by_scenario_groups_consecutive_runs(self):
-        from repro.experiments.orchestration import _group_by_scenario
-
-        a = QUICK_CONFIG.with_spare_surplus(5)
-        b = QUICK_CONFIG.with_spare_surplus(15)
-        specs = [
-            RunSpec(scenario=a, scheme="SR", seed=1),
-            RunSpec(scenario=a, scheme="AR", seed=1),
-            RunSpec(scenario=b, scheme="SR", seed=1),
-            RunSpec(scenario=a, scheme="SR", seed=2),  # a again: new group
-        ]
-        groups = _group_by_scenario(specs)
-        assert [len(group) for group in groups] == [2, 1, 1]
-        assert [spec for group in groups for spec in group] == specs
-        assert _group_by_scenario([]) == []
-
-    def test_serial_executor_builds_each_scenario_once(self, monkeypatch):
+    @staticmethod
+    def counting_builds(monkeypatch):
+        """Record the spare surplus of every in-process initial-state build."""
         from repro.experiments import orchestration
 
         builds = []
@@ -370,14 +363,32 @@ class TestScenarioReuse:
             return real_build(config)
 
         monkeypatch.setattr(orchestration, "build_scenario_state", counting_build)
+        return builds
+
+    def test_group_by_scenario_groups_consecutive_runs(self, monkeypatch):
+        builds = self.counting_builds(monkeypatch)
+        a = QUICK_CONFIG.with_spare_surplus(5)
+        b = QUICK_CONFIG.with_spare_surplus(15)
+        specs = [
+            RunSpec(scenario=a, scheme="SR", seed=1),
+            RunSpec(scenario=a, scheme="AR", seed=1),
+            RunSpec(scenario=b, scheme="SR", seed=1),
+            RunSpec(scenario=a, scheme="SR", seed=2),  # a again: new group
+        ]
+        records = execute_many(specs)
+        assert builds == [5, 15, 5]
+        assert [record.spec for record in records] == specs
+
+    def test_serial_executor_builds_each_scenario_once(self, monkeypatch):
+        builds = self.counting_builds(monkeypatch)
         specs = [
             quick_spec(scheme=scheme, seed=seed, spare_surplus=surplus)
             for surplus in (5, 15)
             for seed in (1, 2)
             for scheme in ("SR", "AR")
         ]
-        executor = SerialExecutor()
-        records = executor.run_all(specs)
+        with ExperimentBroker(workers=1) as broker:
+            records = broker.run(specs)
         assert len(records) == len(specs)
         # 8 specs over one scenario per surplus: the seed lives in the spec,
         # not the config, so each surplus is one consecutive group.
@@ -389,7 +400,7 @@ class TestScenarioReuse:
             for seed in (1, 2)
             for scheme in ("SR", "AR")
         ]
-        grouped = SerialExecutor().run_all(specs)
+        grouped = execute_many(specs)
         assert [record_to_dict(execute_run(spec)) for spec in specs] == [
             record_to_dict(record) for record in grouped
         ]
@@ -400,30 +411,49 @@ class TestScenarioReuse:
             for seed in (1, 2)
             for scheme in ("SR", "AR")
         ]
-        with ParallelExecutor(2) as executor:
-            first = executor.run_all(specs)
-            pool = executor._pool
+        with ExperimentBroker(workers=2) as broker:
+            first = broker.run(specs)
+            pool = broker._pool
             assert pool is not None
-            second = executor.run_all(specs)
-            assert executor._pool is pool  # same workers, not a fresh pool
-        assert executor._pool is None  # context exit reaped it
+            second = broker.run([quick_spec(scheme=s, seed=3) for s in ("SR", "AR")])
+            third = broker.run(specs)  # dedup spans only in-flight work
+            assert broker._pool is pool  # same workers, not a fresh pool
+        assert broker._pool is None  # context exit reaped it
+        assert all(record.spec.seed == 3 for record in second)
         assert [record_to_dict(a) for a in first] == [
-            record_to_dict(b) for b in second
+            record_to_dict(b) for b in third
         ]
 
     def test_parallel_pool_rebuilds_when_registry_changes(self):
         from repro.experiments.registry import register_scheme, unregister_scheme
 
         specs = [quick_spec(scheme=scheme, seed=1) for scheme in ("SR", "AR")]
-        with ParallelExecutor(2) as executor:
-            executor.run_all(specs)
-            pool = executor._pool
+        with ExperimentBroker(workers=2) as broker:
+            broker.run(specs)
+            pool = broker._pool
             register_scheme("SR-pool-test", _module_level_sr_factory)
             try:
-                executor.run_all(specs + [quick_spec(scheme="SR-pool-test", seed=1)])
-                assert executor._pool is not pool  # overrides changed -> new pool
+                (record,) = broker.run([quick_spec(scheme="SR-pool-test", seed=1)])
+                assert broker._pool is not pool  # registry changed -> new pool
+                assert record.metrics.scheme == "SR"
             finally:
                 unregister_scheme("SR-pool-test")
+
+    def test_shadowed_builtin_reaches_pool_workers(self):
+        from repro.experiments.registry import BUILTIN_FACTORIES
+
+        spec = quick_spec(scheme="AR", seed=1)
+        with ExperimentBroker(workers=2) as broker:
+            (before,) = broker.run([spec])
+            register_scheme("AR", _module_level_sr_factory, replace=True)
+            try:
+                (shadowed,) = broker.run([spec])
+                in_process = execute_run(spec)
+            finally:
+                register_scheme("AR", BUILTIN_FACTORIES["AR"], replace=True)
+        assert before.metrics.scheme == "AR"
+        assert shadowed.metrics.scheme == "SR"  # the workers saw the override
+        assert record_to_dict(shadowed) == record_to_dict(in_process)
 
     def test_group_clones_leave_the_shared_build_untouched(self, monkeypatch):
         """Every spec of a group simulates on its own clone of one build."""

@@ -16,7 +16,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.orchestration import RunSpec, SerialExecutor, execute_many, execute_run
+from repro.experiments.broker import ExperimentBroker
+from repro.experiments.orchestration import RunSpec, execute_many, execute_run
 from repro.experiments.persistence import RunCache, run_key, spec_from_dict, spec_to_dict
 from repro.experiments.scenario_files import (
     Scenario,
@@ -253,7 +254,7 @@ class TestCompilation:
     def test_scenario_file_and_programmatic_runs_share_cache_entries(self, tmp_path):
         scenario = sample_scenario(max_rounds=60)
         cache = RunCache(tmp_path / "cache")
-        first = execute_many(scenario.run_specs(), executor=SerialExecutor(), cache=cache)
+        first = execute_many(scenario.run_specs(), cache=cache)
         assert cache.misses == len(first) and cache.hits == 0
 
         programmatic = [
@@ -266,9 +267,9 @@ class TestCompilation:
             )
             for scheme in scenario.schemes
         ]
-        executor = SerialExecutor()
-        second = execute_many(programmatic, executor=executor, cache=cache)
-        assert executor.runs_executed == 0
+        with ExperimentBroker(cache=cache) as broker:
+            second = execute_many(programmatic, broker=broker)
+        assert broker.stats().executed == 0
         assert all(record.cached for record in second)
 
     def test_scheduled_failures_reach_the_engine(self):

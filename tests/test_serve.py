@@ -9,17 +9,23 @@ The contracts exercised here:
 * ``/run?stream=1`` carries live per-round events and publishes the finished
   record so the next query is a hit;
 * error mapping: bad specs -> 400, unknown endpoints -> 404, a full broker
-  queue -> 503;
+  queue -> 429 with ``Retry-After``, a grid or deployment above the size
+  limits -> 413 before anything is built;
 * a hostile ``Content-Length`` (negative, non-integer, above the body cap)
   is answered 400/413 at once instead of hanging the connection, and a body
   shorter than its declared length is dropped after the socket timeout;
 * a failing store costs a streamed run nothing: the client still gets
-  ``done``.
+  ``done``;
+* a two-worker server answers interleaved cold, warm, deduplicated and
+  streamed requests, and ``close()`` reaps its worker processes.
 """
 
 import json
 import socket
 import threading
+import time
+import urllib.error
+import urllib.request
 from contextlib import contextmanager
 
 import pytest
@@ -30,7 +36,7 @@ from repro.experiments.persistence import RunCache, record_to_dict
 from repro.serve import ServeClient, ServeConfig, make_server, spec_from_request
 from repro.serve import server as server_module
 from repro.serve.client import ServeError
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import MAX_BODY_BYTES, MAX_DEPLOYED_COUNT, MAX_GRID_CELLS
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 
 
@@ -277,7 +283,7 @@ def test_unknown_routes_map_to_404():
             assert excinfo.value.status == 404, path
 
 
-def test_full_queue_maps_to_503():
+def test_full_queue_maps_to_429():
     gate = threading.Event()
 
     def gated_run(spec):
@@ -307,9 +313,106 @@ def test_full_queue_maps_to_503():
         wait_until(lambda: broker.stats().pending == 0 and broker.stats().in_flight == 1)
         ask(32)  # fills the queue exactly to its bound
         wait_until(lambda: broker.stats().pending == 1)
-        with pytest.raises(ServeError) as excinfo:
-            client.run(spec_payload(seed=33))
-        assert excinfo.value.status == 503
+        request = urllib.request.Request(
+            f"{server.url}/run",
+            data=json.dumps(spec_payload(seed=33)).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 429
+        assert excinfo.value.headers["Retry-After"] == "1"
+        for path in ("/figure/fig6", "/scenario/paper-16x16"):
+            with pytest.raises(ServeError) as excinfo:
+                client._call(path, {"quick": 1, "smoke": 1})
+            assert excinfo.value.status == 429, path
         gate.set()
         for thread in background:
             thread.join(timeout=30)
+
+
+# ------------------------------------------------------------ request cost
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"columns": 100_000, "rows": 100_000, "deployed_count": 150},
+        {"columns": 5, "rows": 5, "deployed_count": 1_000_000_000},
+    ],
+    ids=["grid", "nodes"],
+)
+def test_oversized_specs_map_to_413_before_any_build(scenario):
+    with running_server() as (server, client):
+        payload = spec_payload()
+        payload["scenario"].update(scenario)
+        started = time.monotonic()
+        for run in (client.run, lambda body: list(client.run_stream(body))):
+            with pytest.raises(ServeError) as excinfo:
+                run(payload)
+            assert excinfo.value.status == 413
+        assert time.monotonic() - started < 5.0
+        assert len(server.cache) == 0
+        assert server.broker.stats().submitted == 0
+
+
+def test_the_size_limits_admit_the_largest_benchmarked_tier():
+    payload = spec_payload()
+    payload["scenario"].update(columns=256, rows=256, deployed_count=MAX_DEPLOYED_COUNT)
+    spec = spec_from_request(payload)
+    assert spec.scenario.cell_count == MAX_GRID_CELLS
+
+
+# ------------------------------------------------------------ process pool
+def test_pool_server_handles_interleaved_traffic_and_reaps_its_workers():
+    """Cold, warm, deduplicated and streamed requests at once on two workers."""
+    server = make_server(ServeConfig(port=0, workers=2))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServeClient(server.url, timeout=60)
+    answers, errors = {}, []
+
+    def ask(name, call):
+        try:
+            answers[name] = call()
+        except Exception as error:  # noqa: BLE001 - collected for the assertion
+            errors.append(f"{name}: {error!r}")
+
+    try:
+        warm = client.run(spec_payload(seed=40))
+        requests = {
+            **{f"cold-{s}": (lambda s=s: client.run(spec_payload(seed=s))) for s in (41, 42)},
+            **{f"herd-{i}": (lambda: client.run(spec_payload(seed=43))) for i in range(3)},
+            "warm": lambda: client.run(spec_payload(seed=40)),
+            "stream": lambda: list(client.run_stream(spec_payload(seed=44))),
+            "stats": client.stats,
+        }
+        threads = [threading.Thread(target=ask, args=item) for item in requests.items()]
+        for worker in threads:
+            worker.start()
+        for worker in threads:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in threads), "a request hung"
+        assert not errors, errors
+        assert server.broker._pool is not None
+        processes = list(server.broker._pool._processes.values())
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.close()
+    assert processes and not any(process.is_alive() for process in processes)
+    assert server.broker._pool is None
+    # Seed 40, the two cold seeds and one herd run: the other herd requests
+    # were deduplicated or cached, and streams bypass the broker.
+    assert server.broker.stats().executed == 4
+
+    def local(seed):
+        return record_to_dict(execute_run(spec_from_request(spec_payload(seed=seed))))
+
+    assert answers["warm"]["cached"] and answers["warm"]["record"] == warm["record"]
+    assert answers["warm"]["record"] == local(40)
+    for seed in (41, 42):
+        assert answers[f"cold-{seed}"]["record"] == local(seed)
+    herd = [answers[f"herd-{i}"]["record"] for i in range(3)]
+    assert herd == [local(43)] * 3
+    assert answers["stream"][-1]["event"] == "done"
+    assert answers["stream"][-1]["record"] == local(44)
